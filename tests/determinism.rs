@@ -360,3 +360,48 @@ fn achieved_ii_never_undercut_the_scheduled_ii() {
         }
     }
 }
+
+/// The verified contention sweep of the four topologies at 2/4/8 clusters
+/// (`ExperimentConfig::quick(24)`, one worker), `cache_hit` column
+/// stripped, as one CSV: the header once, then each topology's rows in
+/// bus, ring, chordal:2, crossbar order.
+fn contention_sweep_csv() -> String {
+    use dms_machine::TopologyKind;
+    let mut out = String::new();
+    for kind in [
+        TopologyKind::Bus,
+        TopologyKind::Ring,
+        TopologyKind::ChordalRing { chord: 2 },
+        TopologyKind::Crossbar,
+    ] {
+        let mut cfg = ExperimentConfig::quick(24);
+        cfg.cluster_counts = vec![2, 4, 8];
+        cfg.topology = kind;
+        cfg.contention = true;
+        cfg.threads = 1;
+        let (rows, stats) = measure_suite_with_stats(&cfg);
+        assert_eq!(stats.failed, 0, "{kind}: every replayed schedule must verify");
+        let csv = strip_cache_hit(&report::measurements_csv(&rows));
+        let skip = usize::from(!out.is_empty());
+        for line in csv.lines().skip(skip) {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// A verified contention sweep is byte-identical to the output of the
+/// binary built just before the program executor merged value execution
+/// and link-contention timing into one walk. The fixture pins what no other
+/// fixture does: `verified_stores`, `max_queue_depth` and `achieved_ii`
+/// on every topology.
+#[test]
+fn contention_sweep_csv_matches_the_pre_merge_fixture() {
+    let fixture = include_str!("fixtures/measurements_contention.csv");
+    assert_eq!(
+        contention_sweep_csv(),
+        fixture,
+        "values, queue depths and achieved II must not move when the executors merge"
+    );
+}
