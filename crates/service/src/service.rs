@@ -21,9 +21,9 @@ use crate::cache::{CacheCounters, ShardedCache};
 use crate::hash::{guard_fingerprint, CacheKey, Fnv};
 use dms_core::{dms_schedule, DmsConfig, ScheduleOutcome};
 use dms_ir::{canonical_hash, Loop};
-use dms_machine::MachineConfig;
+use dms_machine::{MachineConfig, TransferModel};
 use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleResult};
-use dms_sim::{replay_schedule, verify_schedule};
+use dms_sim::verify_timed;
 use dms_telemetry::{Gauge, Histogram, Registry, SchedEvent};
 use std::fmt;
 use std::sync::Arc;
@@ -61,10 +61,10 @@ pub struct ScheduleRequest<'a> {
     /// schedule, so warm requests skip re-verification. A verification
     /// failure fails the request.
     pub verify_trips: Option<u64>,
-    /// Additionally replay the emitted program under the topology's
+    /// Additionally time the emitted program under the topology's
     /// transfer-bandwidth model ([`dms_sim::contended_replay`]) and report
-    /// the achieved II in the verify digest. Requires `verify_trips` (the
-    /// replay runs over the same trip count); ignored without it.
+    /// the achieved II in the verify digest. The timing rides in the
+    /// verifying walk, so it requires `verify_trips`; ignored without it.
     pub contention: bool,
 }
 
@@ -271,19 +271,17 @@ impl ScheduleService {
         let verify = match req.verify_trips {
             None => None,
             Some(trips) => {
-                let report = verify_schedule(req.body, output.result(), req.machine, trips)
-                    .map_err(|e| ServiceError::Verify(format!("{e:?}")))?;
-                // The replay only runs on a functionally verified schedule:
-                // its timing is meaningless for a program whose values are
-                // wrong, and the verify above has already emitted and
-                // executed the very program being replayed.
-                let achieved_ii = if req.contention {
-                    replay_schedule(output.result(), req.machine, trips)
-                        .map_err(|e| ServiceError::Verify(format!("contention replay: {e:?}")))?
-                        .achieved_ii
+                // A contention request times the program under the
+                // machine's transfer model in the walk that verifies it.
+                let model = if req.contention {
+                    req.machine.topology().transfer_model()
                 } else {
-                    0
+                    TransferModel::Unconstrained
                 };
+                let (report, timing) =
+                    verify_timed(req.body, output.result(), req.machine, model, trips)
+                        .map_err(|e| ServiceError::Verify(format!("{e:?}")))?;
+                let achieved_ii = if req.contention { timing.achieved_ii } else { 0 };
                 Some(VerifyDigest {
                     stores_checked: report.stores_checked,
                     max_queue_depth: report.max_queue_depth,

@@ -1,15 +1,11 @@
-//! Contention-accurate replay of the emitted VLIW program.
+//! Contention-accurate timing of the emitted VLIW program.
 //!
-//! [`crate::vliw::execute_program`] is the *functional* oracle: it runs the
-//! emitted program under idealised timing (one instruction word per cycle,
-//! transfers free) and cross-checks every stored value. This module replays
-//! the **same program** on the discrete-event core ([`crate::event`]) under
-//! the transfer-bandwidth model the machine's topology declares
+//! The program executor ([`crate::vliw::run_program`]) times every word
+//! under the transfer-bandwidth model the machine's topology declares
 //! ([`dms_machine::TransferModel`] / `Topology::link_capacity`):
 //!
 //! * **crossbar** — unconstrained: a dedicated path per cluster pair, so
-//!   transfers never wait and the replay reproduces idealised timing by
-//!   construction;
+//!   transfers never wait and the walk reproduces idealised timing;
 //! * **bus** — a single shared medium: one transaction per cycle across all
 //!   writers (a written value is a broadcast, so one transaction serves all
 //!   its readers);
@@ -23,37 +19,22 @@
 //! own single-cycle transfer on its own link, and oversubscribed links
 //! serialise the values crossing them.
 //!
-//! The replay is timing-only: values are not recomputed (the idealised
-//! executor plus the verify cross-check already pin them bit-for-bit), but
-//! the FIFO pop/push discipline of every CQRF stream is replayed exactly,
-//! so a word's issue cycle reflects precisely the transfers its operands
-//! travelled through. The headline output is the **achieved initiation
-//! interval**: the steady-state distance between successive kernel store
-//! timestamps, measured over the second half of the kernel repetitions —
+//! This module holds the two pieces of that timing the walk does not: the
+//! per-link booking window and the achieved-II measurement. The
+//! headline output is the **achieved initiation interval**: the
+//! steady-state distance between successive kernel store timestamps,
+//! measured over the second half of the kernel repetitions —
 //! `achieved_ii == scheduled II` means the schedule's communication fits
 //! the interconnect's bandwidth; a larger value quantifies the optimism of
 //! the storage-only model.
 
-use crate::event::EventQueue;
 use crate::exec::SimError;
-use dms_ir::{Ddg, OpId, OpKind};
-use dms_machine::{CqrfId, MachineConfig, TransferModel};
-use dms_regalloc::codegen::{InstructionWord, OperandSource, VliwProgram};
+use crate::vliw::run_program;
+use dms_ir::Ddg;
+use dms_machine::MachineConfig;
+use dms_regalloc::codegen::VliwProgram;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Key of a CQRF operand stream: `(consumer, operand index)` — the same
-/// granularity the idealised executor and the register allocator use.
-type StreamKey = (OpId, usize);
-
-/// The bandwidth resource a transfer occupies for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Resource {
-    /// The single shared medium of a bus.
-    Medium,
-    /// One directed point-to-point link, named by its queue file.
-    Link(CqrfId),
-}
+use std::collections::VecDeque;
 
 /// Timing summary of one contention-accurate replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,48 +58,9 @@ pub struct ContentionReport {
     pub serialized_transfers: u64,
 }
 
-struct Replay {
-    trip_count: u64,
-    model: TransferModel,
-    /// Grant cycle of every pushed-but-not-popped value, FIFO per stream.
-    /// Pre-loaded live-ins carry grant 0 wrapped in `Preloaded`.
-    arrivals: HashMap<StreamKey, VecDeque<Arrival>>,
-    /// Streams each producer pushes into, sorted for determinism.
-    fanout: HashMap<OpId, Vec<StreamKey>>,
-    /// The link each stream's values cross, with its slot capacity.
-    links: HashMap<StreamKey, (CqrfId, u32)>,
-    /// Slots used per cycle per resource.
-    usage: HashMap<Resource, BTreeMap<u64, u32>>,
-    /// Next iteration index of every op (predication mirror of the
-    /// idealised executor).
-    iteration_of: HashMap<OpId, u64>,
-    /// Kernel-phase store issue timestamps, per store op.
-    store_times: HashMap<OpId, Vec<u64>>,
-    transfers: u64,
-    serialized: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arrival {
-    /// A loop live-in pre-loaded before cycle 0: never stalls a consumer.
-    Preloaded,
-    /// A replayed transfer granted at the given cycle; consumable from the
-    /// following cycle.
-    Granted(u64),
-}
-
-impl Arrival {
-    /// First cycle a consumer holding this value may issue.
-    fn ready(self) -> u64 {
-        match self {
-            Arrival::Preloaded => 0,
-            Arrival::Granted(g) => g + 1,
-        }
-    }
-}
-
 /// Replays `trip_count` iterations of the emitted program under the
-/// topology's transfer-bandwidth model and measures the achieved II.
+/// topology's transfer-bandwidth model and measures the achieved II: the
+/// timing half of [`run_program`] under the machine's own model.
 ///
 /// `ddg` must be the scheduled DDG the program was emitted from, exactly as
 /// for [`crate::vliw::execute_program`].
@@ -155,256 +97,56 @@ pub fn contended_replay(
     machine: &MachineConfig,
     trip_count: u64,
 ) -> Result<ContentionReport, SimError> {
-    let topology = machine.topology();
-    let mut st = Replay {
-        trip_count,
-        model: topology.transfer_model(),
-        arrivals: HashMap::new(),
-        fanout: HashMap::new(),
-        links: HashMap::new(),
-        usage: HashMap::new(),
-        iteration_of: HashMap::new(),
-        store_times: HashMap::new(),
-        transfers: 0,
-        serialized: 0,
-    };
-
-    // --- discover streams and links from the kernel annotations -------------
-    // (mirrors the idealised executor's setup pass, including the endpoint
-    // validity checks, so both layers reject the same malformed programs)
-    let cluster_of: HashMap<OpId, dms_machine::ClusterId> =
-        program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
-    for slot in program.kernel.iter().flat_map(|w| &w.slots) {
-        let operation = ddg.op(slot.op);
-        if slot.sources.len() != operation.reads.len() {
-            return Err(SimError::MalformedProgram {
-                op: slot.op,
-                detail: format!(
-                    "slot has {} operand sources but the operation reads {} values",
-                    slot.sources.len(),
-                    operation.reads.len()
-                ),
-            });
-        }
-        for (idx, source) in slot.sources.iter().enumerate() {
-            let OperandSource::Cqrf { producer, queue } = source else { continue };
-            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} is annotated as a CQRF read but is no Def"),
-                });
-            };
-            let producer_cluster = cluster_of.get(producer).copied();
-            let expected = producer_cluster.and_then(|pc| topology.queue_between(pc, slot.cluster));
-            if read_producer != *producer || expected != Some(*queue) {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
-                });
-            }
-            // Live-in values of loop-carried dependences were in the queue
-            // before cycle 0: they never stall.
-            let preload = (0..distance).map(|_| Arrival::Preloaded).collect();
-            st.arrivals.insert((slot.op, idx), preload);
-            if let Some(cap) =
-                producer_cluster.and_then(|pc| topology.link_capacity(pc, slot.cluster))
-            {
-                st.links.insert((slot.op, idx), (*queue, cap));
-            }
-            st.fanout.entry(*producer).or_default().push((slot.op, idx));
-        }
-    }
-    for streams in st.fanout.values_mut() {
-        streams.sort_unstable();
-    }
-
-    // --- event-driven issue of the words in program order -------------------
-    // The agenda holds at most one pending event: `TryIssue` of the next
-    // word (issue is in-order — word `w + 1` never issues before `w`). A
-    // word whose operands are still in flight is re-scheduled for the cycle
-    // its latest operand becomes consumable; same-cycle ties (a word ready
-    // the very cycle a transfer lands) drain in FIFO (time, seq) order.
-    let stages = program.stages.max(1) as u64;
-    let kernel_repetitions = trip_count.saturating_sub(stages - 1);
-    let words: Vec<&InstructionWord> = program
-        .prologue
-        .iter()
-        .chain((0..kernel_repetitions).flat_map(|_| program.kernel.iter()))
-        .chain(program.epilogue.iter())
-        .collect();
-    let kernel_range = program.prologue.len()
-        ..program.prologue.len() + kernel_repetitions as usize * program.kernel.len();
-
-    let mut agenda: EventQueue<usize> = EventQueue::new();
-    let mut last_issue = None;
-    if !words.is_empty() {
-        agenda.push(0, 0);
-    }
-    while let Some((time, word_index)) = agenda.pop() {
-        match earliest_issue(&st, words[word_index], time)? {
-            Some(ready) if ready > time => agenda.push(ready, word_index), // stalled: retry
-            _ => {
-                issue_word(&mut st, words[word_index], time, kernel_range.contains(&word_index))?;
-                last_issue = Some(time);
-                if word_index + 1 < words.len() {
-                    agenda.push(time + 1, word_index + 1);
-                }
-            }
-        }
-    }
-
-    let cycles = last_issue.map_or(0, |t| t + 1);
-    let ideal_cycles = words.len() as u64;
-    let scheduled_ii = program.ii;
-    let stall_cycles = cycles.saturating_sub(ideal_cycles);
-    if stall_cycles > 0 {
-        dms_telemetry::Telemetry::current()
-            .event(dms_telemetry::SchedEvent::LinkStall { cycles: stall_cycles });
-    }
-    Ok(ContentionReport {
-        scheduled_ii,
-        achieved_ii: measure_achieved_ii(&st.store_times, scheduled_ii),
-        cycles,
-        ideal_cycles,
-        stall_cycles,
-        transfers: st.transfers,
-        serialized_transfers: st.serialized,
-    })
+    let model = machine.topology().transfer_model();
+    run_program(program, ddg, machine, model, trip_count).map(|e| e.timing)
 }
 
-/// Emits `result` for `machine` and replays it under the machine's
-/// transfer-bandwidth model: the one-call form of [`contended_replay`] for
-/// callers holding a schedule rather than an emitted program (the resident
-/// service, the sweep runner).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] of the replay.
-pub fn replay_schedule(
-    result: &dms_sched::ScheduleResult,
-    machine: &MachineConfig,
-    trip_count: u64,
-) -> Result<ContentionReport, SimError> {
-    let program = dms_regalloc::emit(result, machine);
-    contended_replay(&program, &result.ddg, machine, trip_count)
+/// Slot bookings of one bandwidth resource, per cycle from `base` on.
+/// Requests arrive in nondecreasing cycle order (a word never issues before
+/// its predecessor), so cycles before the latest request are never asked
+/// for again and slide out of the window.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Booking {
+    base: u64,
+    used: VecDeque<u32>,
+    /// Every cycle of `used[..full]` is booked to capacity.
+    full: usize,
 }
 
-/// First cycle `>= time` at which every CQRF operand of the word's active
-/// slots is consumable, or `None` when nothing constrains the word beyond
-/// program order. Pure (no pops): safe to call repeatedly while stalled.
-fn earliest_issue(st: &Replay, word: &InstructionWord, time: u64) -> Result<Option<u64>, SimError> {
-    let mut ready: Option<u64> = None;
-    for slot in &word.slots {
-        let j = *st.iteration_of.get(&slot.op).unwrap_or(&0);
-        if j >= st.trip_count {
-            continue; // predicated off, reads nothing
+impl Booking {
+    /// Books the first cycle `>= request` with fewer than `capacity`
+    /// transfers and returns it.
+    pub(crate) fn acquire(&mut self, request: u64, capacity: u32) -> u64 {
+        debug_assert!(request >= self.base, "link requests must arrive in cycle order");
+        let stale = (request - self.base).min(self.used.len() as u64) as usize;
+        self.used.drain(..stale);
+        self.full = self.full.saturating_sub(stale);
+        self.base = request;
+        let full = |used: &VecDeque<u32>, k: usize| used.get(k).is_some_and(|&n| n >= capacity);
+        let mut k = self.full;
+        while full(&self.used, k) {
+            k += 1;
         }
-        for (idx, source) in slot.sources.iter().enumerate() {
-            if !matches!(source, OperandSource::Cqrf { .. }) {
-                continue;
-            }
-            let front = st
-                .arrivals
-                .get(&(slot.op, idx))
-                .and_then(|q| q.front().copied())
-                .ok_or(SimError::EmptyQueueRead { consumer: slot.op, iteration: j })?;
-            ready = Some(ready.unwrap_or(time).max(front.ready()));
+        if k == self.used.len() {
+            self.used.push_back(0);
         }
+        self.used[k] += 1;
+        while full(&self.used, self.full) {
+            self.full += 1;
+        }
+        self.base + k as u64
     }
-    Ok(ready)
 }
 
-/// Issues one word at `time`: pops the operand arrivals of its active
-/// slots, advances their iteration counters, records kernel store
-/// timestamps and replays the transfers of every producing slot.
-fn issue_word(
-    st: &mut Replay,
-    word: &InstructionWord,
-    time: u64,
-    in_kernel: bool,
-) -> Result<(), SimError> {
-    for slot in &word.slots {
-        let j = *st.iteration_of.get(&slot.op).unwrap_or(&0);
-        if j >= st.trip_count {
-            continue; // predicated off: no pops, no pushes, no side effects
-        }
-        st.iteration_of.insert(slot.op, j + 1);
-        for (idx, source) in slot.sources.iter().enumerate() {
-            if matches!(source, OperandSource::Cqrf { .. }) {
-                st.arrivals
-                    .get_mut(&(slot.op, idx))
-                    .and_then(VecDeque::pop_front)
-                    .ok_or(SimError::EmptyQueueRead { consumer: slot.op, iteration: j })?;
-            }
-        }
-        if in_kernel && slot.kind == OpKind::Store {
-            st.store_times.entry(slot.op).or_default().push(time);
-        }
-        // Replay the transfers this slot's value performs: one transaction
-        // per distinct link (a bus write is a broadcast — every consumer
-        // stream shares the writer's single {w, w} queue, hence one
-        // transaction), requested at the issue cycle, granted at the first
-        // cycle the resource has a free slot. Requests are issued in
-        // program order and grants are first-free-cycle, so per-stream
-        // arrival order matches per-stream push order (FIFO preserved).
-        let Some(streams) = st.fanout.get(&slot.op) else { continue };
-        let mut granted: Vec<(CqrfId, u64)> = Vec::new();
-        for key in streams.clone() {
-            let arrival = match st.links.get(&key) {
-                // unconstrained path (crossbar): lands the same cycle
-                None => Arrival::Granted(time),
-                Some(&(link, capacity)) => {
-                    let grant = match granted.iter().find(|(l, _)| *l == link) {
-                        Some(&(_, g)) => g, // same value, same link: one transaction
-                        None => {
-                            let resource = match st.model {
-                                TransferModel::SharedMedium => Resource::Medium,
-                                _ => Resource::Link(link),
-                            };
-                            let g = acquire(&mut st.usage, resource, capacity, time);
-                            st.transfers += 1;
-                            if g > time {
-                                st.serialized += 1;
-                            }
-                            granted.push((link, g));
-                            g
-                        }
-                    };
-                    Arrival::Granted(grant)
-                }
-            };
-            if let Some(q) = st.arrivals.get_mut(&key) {
-                q.push_back(arrival);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// First cycle `>= request` with a free slot on `resource`, booking it.
-fn acquire(
-    usage: &mut HashMap<Resource, BTreeMap<u64, u32>>,
-    resource: Resource,
-    capacity: u32,
-    request: u64,
-) -> u64 {
-    let booked = usage.entry(resource).or_default();
-    let mut cycle = request;
-    while booked.get(&cycle).copied().unwrap_or(0) >= capacity {
-        cycle += 1;
-    }
-    *booked.entry(cycle).or_insert(0) += 1;
-    cycle
-}
-
-/// Steady-state II from kernel store timestamps: per store op, the mean
-/// distance between successive repetitions over the second half of its
-/// samples (warm pipeline), rounded up; the achieved II of the loop is the
-/// worst store's. Falls back to the scheduled II when fewer than two
-/// repetitions were observed (nothing to measure — no kernel steady state).
-fn measure_achieved_ii(store_times: &HashMap<OpId, Vec<u64>>, scheduled_ii: u32) -> u32 {
+/// Steady-state II from kernel store timestamps (one list per store op):
+/// per store, the mean distance between successive repetitions over the
+/// second half of its samples (warm pipeline), rounded up; the achieved II
+/// of the loop is the worst store's. Falls back to the scheduled II when
+/// fewer than two repetitions were observed (nothing to measure — no kernel
+/// steady state).
+pub(crate) fn measure_achieved_ii(store_times: &[Vec<u64>], scheduled_ii: u32) -> u32 {
     let mut achieved = None;
-    for times in store_times.values() {
+    for times in store_times {
         let n = times.len();
         if n < 2 {
             continue;

@@ -1,23 +1,26 @@
-//! Software-pipelined execution of a modulo schedule on the clustered
-//! machine model.
+//! Execution of a modulo schedule on the clustered machine model.
 //!
 //! Every operation instance `(op, iteration)` issues at
-//! `time(op) + iteration * II`. Instances are executed in issue order —
-//! exactly the order the hardware would see — and every value that crosses a
-//! cluster boundary is routed through a FIFO queue (one queue per consuming
-//! operand, the way the queue register files are allocated), pre-loaded with
-//! the live-in values of loop-carried dependences. The values reaching the
-//! store operations are compared against the sequential reference
-//! interpreter: any mis-scheduled dependence, wrong cluster assignment or
-//! broken queue discipline changes those values and is reported.
+//! `time(op) + iteration * II`. [`simulate`] checks that code generation
+//! can lower the schedule (every live operation placed, every cross-cluster
+//! value between directly connected clusters), emits it, and runs the
+//! emitted program on the program executor ([`crate::vliw`]): every value
+//! that crosses a cluster boundary is routed through a FIFO queue (one per
+//! consuming operand, the way the queue register files are allocated),
+//! pre-loaded with the live-in values of loop-carried dependences. The
+//! values reaching the store operations are compared against the sequential
+//! reference interpreter: any mis-scheduled dependence, wrong cluster
+//! assignment or broken queue discipline changes those values and is
+//! reported.
 
 use crate::interp::reference_trace;
-use crate::values::{apply, initial_value, invariant_value, live_in_value};
-use dms_ir::{OpId, OpKind, Operand};
-use dms_machine::{MachineConfig, QueueFile};
+use crate::values::initial_value;
+use crate::vliw::execute_program;
+use dms_ir::OpId;
+use dms_machine::MachineConfig;
+use dms_regalloc::emit;
 use dms_sched::schedule::ScheduleResult;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Summary of one simulated execution.
@@ -116,9 +119,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Key of a per-operand inter-cluster queue: `(consumer, operand index)`.
-type QueueKey = (OpId, usize);
-
 /// Executes `trip_count` iterations of a scheduled loop and cross-checks the
 /// stored values against the sequential reference interpreter.
 ///
@@ -134,115 +134,26 @@ pub fn simulate(
     let ddg = &result.ddg;
     let schedule = &result.schedule;
     let topology = machine.topology();
-    let ii = schedule.ii() as u64;
-
-    // --- set up queues for cross-cluster operand streams -------------------
-    let mut queues: HashMap<QueueKey, QueueFile<i64>> = HashMap::new();
-    // producer -> list of queues its value must be pushed into
-    let mut fanout: HashMap<OpId, Vec<QueueKey>> = HashMap::new();
-
     for (consumer, op) in ddg.live_ops() {
         let c_place = schedule.get(consumer).ok_or(SimError::Unscheduled(consumer))?;
-        for (idx, read) in op.reads.iter().enumerate() {
-            let Operand::Def { op: producer, distance } = *read else { continue };
+        for (producer, _) in op.defs_read() {
             let p_place = schedule.get(producer).ok_or(SimError::Unscheduled(producer))?;
-            if p_place.cluster == c_place.cluster {
-                continue; // local value: read through the LRF (history table)
-            }
-            if !topology.directly_connected(p_place.cluster, c_place.cluster) {
+            if p_place.cluster != c_place.cluster
+                && !topology.directly_connected(p_place.cluster, c_place.cluster)
+            {
                 return Err(SimError::CommunicationConflict { producer, consumer });
             }
-            let mut q = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
-            for k in 0..distance {
-                // live-in values of loop-carried dependences, oldest first
-                if !q.push(live_in_value(ddg, producer, k as i64 - distance as i64)) {
-                    return Err(SimError::QueueOverflow { producer, consumer });
-                }
-            }
-            queues.insert((consumer, idx), q);
-            fanout.entry(producer).or_default().push((consumer, idx));
         }
     }
 
-    // --- execute instances in issue order -----------------------------------
-    let mut instances: Vec<(u64, OpId)> = Vec::new();
-    for (op, placed) in schedule.iter() {
-        if !ddg.is_live(op) {
-            continue;
-        }
-        for j in 0..trip_count {
-            instances.push((placed.time as u64 + j * ii, op));
-        }
-    }
-    instances.sort_unstable_by_key(|&(t, op)| (t, op));
-
-    let mut history: HashMap<OpId, Vec<i64>> = HashMap::new();
-    let mut iteration_of: HashMap<OpId, u64> = HashMap::new();
-    let mut stores: HashMap<(OpId, u64), i64> = HashMap::new();
-    let mut useful = 0u64;
-    let mut total = 0u64;
-    let mut cross_values = 0u64;
-
-    for (_, op) in instances {
-        let j = *iteration_of.get(&op).unwrap_or(&0);
-        iteration_of.insert(op, j + 1);
-        let operation = ddg.op(op);
-
-        let mut operands = Vec::with_capacity(operation.reads.len());
-        for (idx, read) in operation.reads.iter().enumerate() {
-            let value = match *read {
-                Operand::Immediate(v) => v,
-                Operand::Invariant(k) => invariant_value(k),
-                Operand::Induction => j as i64,
-                Operand::Def { op: producer, distance } => {
-                    if let Some(q) = queues.get_mut(&(op, idx)) {
-                        q.pop().ok_or(SimError::EmptyQueueRead { consumer: op, iteration: j })?
-                    } else {
-                        // local (same-cluster) read: LRF lookup
-                        let wanted = j as i64 - distance as i64;
-                        if wanted < 0 {
-                            live_in_value(ddg, producer, wanted)
-                        } else {
-                            history
-                                .get(&producer)
-                                .and_then(|h| h.get(wanted as usize))
-                                .copied()
-                                .unwrap_or_else(|| initial_value(producer, wanted))
-                        }
-                    }
-                }
-            };
-            operands.push(value);
-        }
-
-        let value = apply(operation.kind, &operands, j);
-        history.entry(op).or_default().push(value);
-        total += 1;
-        if operation.kind.is_useful() {
-            useful += 1;
-        }
-        if operation.kind == OpKind::Store {
-            stores.insert((op, j), value);
-        }
-        if let Some(keys) = fanout.get(&op) {
-            for key in keys {
-                cross_values += 1;
-                if let Some(q) = queues.get_mut(key) {
-                    if !q.push(value) {
-                        return Err(SimError::QueueOverflow { producer: op, consumer: key.0 });
-                    }
-                }
-            }
-        }
-    }
-
-    // --- cross-check against the reference ---------------------------------
+    let exec = execute_program(&emit(result, machine), ddg, machine, trip_count)?;
+    let mut stores = exec.stores;
+    stores.sort_unstable_by_key(|r| (r.iteration, r.op));
     let reference = reference_trace(ddg, trip_count);
-    let mut checked = 0u64;
     for rec in &reference {
-        let actual = stores.get(&(rec.op, rec.iteration)).copied().unwrap_or_else(|| {
-            initial_value(rec.op, -1) // guaranteed mismatch if the store never ran
-        });
+        let actual = stores
+            .binary_search_by_key(&(rec.iteration, rec.op), |r| (r.iteration, r.op))
+            .map_or_else(|_| initial_value(rec.op, -1), |i| stores[i].value);
         if actual != rec.value {
             return Err(SimError::StoreMismatch {
                 op: rec.op,
@@ -251,19 +162,18 @@ pub fn simulate(
                 actual,
             });
         }
-        checked += 1;
     }
 
     let cycles = schedule.cycles(trip_count);
-    let max_queue_depth = queues.values().map(|q| q.high_water() as u64).max().unwrap_or(0);
+    let useful = exec.useful_instances;
     Ok(SimReport {
         cycles,
         useful_ops_executed: useful,
-        total_ops_executed: total,
+        total_ops_executed: exec.instances_executed,
         ipc: if cycles == 0 { 0.0 } else { useful as f64 / cycles as f64 },
-        stores_checked: checked,
-        cross_cluster_values: cross_values,
-        max_queue_depth,
+        stores_checked: reference.len() as u64,
+        cross_cluster_values: exec.cross_cluster_values,
+        max_queue_depth: exec.max_queue_depth,
     })
 }
 

@@ -5,11 +5,11 @@
 //! sequence of stored values it produces is the ground truth the pipelined
 //! executor must reproduce.
 
-use crate::values::{apply, initial_value, invariant_value, live_in_value};
+use crate::vliw::{Src, Walk};
 use dms_ir::analysis::topological_order;
-use dms_ir::{Ddg, OpId, OpKind, Operand};
+use dms_ir::{Ddg, OpId};
+use dms_machine::TransferModel;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One value written by a store operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -25,53 +25,24 @@ pub struct StoreRecord {
 /// Executes `trip_count` iterations of the loop body sequentially and
 /// returns the trace of stored values, in (iteration, operation) order.
 ///
+/// The body runs on the program executor's dense state as one instruction
+/// word per iteration, every operand read through the local register file.
+///
 /// # Panics
 ///
 /// Panics if the intra-iteration dependence graph is cyclic (an invalid DDG).
 pub fn reference_trace(ddg: &Ddg, trip_count: u64) -> Vec<StoreRecord> {
     let order = topological_order(ddg).expect("reference interpreter needs an acyclic body");
-    // history[op] holds the op's values for every executed iteration.
-    let mut history: HashMap<OpId, Vec<i64>> = HashMap::new();
-    let mut trace = Vec::new();
-
-    for i in 0..trip_count {
-        for &op in &order {
-            let operation = ddg.op(op);
-            let operands: Vec<i64> =
-                operation.reads.iter().map(|r| operand_value(ddg, r, i, &history)).collect();
-            let value = apply(operation.kind, &operands, i);
-            history.entry(op).or_default().push(value);
-            if operation.kind == OpKind::Store {
-                trace.push(StoreRecord { op, iteration: i, value });
-            }
-        }
+    let mut walk = Walk::new(ddg, trip_count, TransferModel::Unconstrained, 1);
+    let slots: Vec<u32> = order
+        .iter()
+        .map(|&op| walk.push_slot(op, ddg.op(op).reads.iter().map(Src::of_operand)))
+        .collect();
+    let body = walk.push_word(slots);
+    for _ in 0..trip_count {
+        walk.issue_word(body, false).expect("a body without CQRF streams cannot fail");
     }
-    trace
-}
-
-fn operand_value(
-    ddg: &Ddg,
-    operand: &Operand,
-    iteration: u64,
-    history: &HashMap<OpId, Vec<i64>>,
-) -> i64 {
-    match *operand {
-        Operand::Immediate(v) => v,
-        Operand::Invariant(k) => invariant_value(k),
-        Operand::Induction => iteration as i64,
-        Operand::Def { op, distance } => {
-            let wanted = iteration as i64 - distance as i64;
-            if wanted < 0 {
-                live_in_value(ddg, op, wanted)
-            } else {
-                history
-                    .get(&op)
-                    .and_then(|h| h.get(wanted as usize))
-                    .copied()
-                    .unwrap_or_else(|| initial_value(op, wanted))
-            }
-        }
-    }
+    walk.into_stores()
 }
 
 #[cfg(test)]

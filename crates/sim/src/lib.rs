@@ -27,16 +27,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod contention;
-pub mod event;
 pub mod exec;
 pub mod interp;
 pub mod values;
 pub mod verify;
 pub mod vliw;
 
-pub use contention::{contended_replay, replay_schedule, ContentionReport};
-pub use event::EventQueue;
+pub use contention::{contended_replay, ContentionReport};
 pub use exec::{simulate, SimError, SimReport};
 pub use interp::{reference_trace, StoreRecord};
-pub use verify::{verify_schedule, VerifyError, VerifyReport};
-pub use vliw::{execute_program, ProgramReport};
+pub use verify::{verify_schedule, verify_timed, VerifyError, VerifyReport};
+pub use vliw::{execute_program, run_program, Execution, ProgramReport};

@@ -11,7 +11,8 @@
 //! 3. **code generation** — the schedule is lowered to the software-pipelined
 //!    VLIW program (`dms_regalloc::emit`),
 //! 4. **execution** — the emitted prologue, kernel and epilogue run on the
-//!    clustered machine interpreter ([`crate::vliw::execute_program`]),
+//!    program executor ([`crate::vliw::run_program`]), which times the words
+//!    under a transfer model in the same walk ([`verify_timed`]),
 //! 5. **cross-check** — the executed store trace must be bit-equal to a
 //!    scalar reference interpretation of the *original* (untransformed) loop
 //!    DDG ([`crate::interp::reference_trace`]).
@@ -20,11 +21,12 @@
 //! reaching memory surfaces as a [`VerifyError`]. The function is re-exported
 //! at the workspace root as `dms::verify_schedule`.
 
+use crate::contention::ContentionReport;
 use crate::exec::SimError;
 use crate::interp::{reference_trace, StoreRecord};
-use crate::vliw::execute_program;
+use crate::vliw::run_program;
 use dms_ir::Loop;
-use dms_machine::MachineConfig;
+use dms_machine::{MachineConfig, TransferModel};
 use dms_regalloc::queues::AllocError;
 use dms_regalloc::{allocate, emit};
 use dms_sched::schedule::ScheduleResult;
@@ -141,6 +143,24 @@ pub fn verify_schedule(
     machine: &MachineConfig,
     trip_count: u64,
 ) -> Result<VerifyReport, VerifyError> {
+    verify_timed(original, result, machine, TransferModel::Unconstrained, trip_count)
+        .map(|(report, _)| report)
+}
+
+/// [`verify_schedule`] that also times the emitted program under `model`,
+/// in the same walk that computes its values: one emit, one execution.
+/// Under the machine's own model the timing is [`crate::contended_replay`]'s.
+///
+/// # Errors
+///
+/// Returns the first [`VerifyError`] encountered, in pipeline order.
+pub fn verify_timed(
+    original: &Loop,
+    result: &ScheduleResult,
+    machine: &MachineConfig,
+    model: TransferModel,
+    trip_count: u64,
+) -> Result<(VerifyReport, ContentionReport), VerifyError> {
     let violations = validate_schedule(&result.ddg, machine, &result.schedule);
     if !violations.is_empty() {
         return Err(VerifyError::InvalidSchedule(violations));
@@ -148,10 +168,10 @@ pub fn verify_schedule(
 
     let alloc = allocate(result, machine).map_err(VerifyError::Allocation)?;
     let program = emit(result, machine);
-    let exec = execute_program(&program, &result.ddg, machine, trip_count)
+    let exec = run_program(&program, &result.ddg, machine, model, trip_count)
         .map_err(VerifyError::Execution)?;
 
-    let actual = sort_trace(exec.stores);
+    let actual = sort_trace(exec.report.stores);
     let expected = sort_trace(reference_trace(&original.ddg, trip_count));
     if actual != expected {
         let diverge = expected
@@ -165,17 +185,18 @@ pub fn verify_schedule(
         });
     }
 
-    Ok(VerifyReport {
+    let report = VerifyReport {
         ii: result.ii(),
         stages: program.stages,
-        cycles: exec.cycles,
+        cycles: exec.report.cycles,
         stores_checked: expected.len() as u64,
-        instances_executed: exec.instances_executed,
-        cross_cluster_values: exec.cross_cluster_values,
-        max_queue_depth: exec.max_queue_depth,
+        instances_executed: exec.report.instances_executed,
+        cross_cluster_values: exec.report.cross_cluster_values,
+        max_queue_depth: exec.report.max_queue_depth,
         total_registers: alloc.total_registers(),
         max_live: alloc.max_live,
-    })
+    };
+    Ok((report, exec.timing))
 }
 
 #[cfg(test)]

@@ -1,31 +1,39 @@
-//! Execution of the *emitted* VLIW program.
+//! The program executor: one in-order walk of the *emitted* VLIW program
+//! that computes its stored values and, under a [`TransferModel`], the
+//! issue cycle of every instruction word.
 //!
-//! [`crate::exec::simulate`] executes a schedule abstractly, from the
-//! placement table. This module goes one layer lower and executes the code
-//! the register allocator's code generator actually emits — the fully
-//! unrolled prologue, `K` repetitions of the steady-state kernel, and the
-//! epilogue — the way the hardware would: instruction word by instruction
-//! word, each operand read from the register file its [`OperandSource`]
-//! annotation names. Every value that the code generator routed through a
-//! CQRF travels through a FIFO stream with single-read discipline; every
-//! local value is read back from the producing cluster's register file.
+//! The walk issues the fully unrolled prologue, `K` repetitions of the
+//! steady-state kernel and the epilogue the way the hardware would:
+//! instruction word by instruction word, each operand read from the
+//! register file its [`OperandSource`] annotation names. A value routed
+//! through a CQRF travels through a FIFO stream (one per consuming operand,
+//! as the queue registers are allocated) with single-read discipline; a
+//! local value is read back from the producing cluster's register file. A
+//! wrong annotation, a missing kernel slot or a mis-ordered prologue changes
+//! the values reaching the stores and is caught by [`crate::verify`].
 //!
-//! Executing the emitted program (rather than the schedule) makes the
-//! codegen layer load-bearing: a wrong operand annotation, a missing kernel
-//! slot or a mis-ordered prologue changes the values reaching the stores and
-//! is caught by the cross-check in [`crate::verify`].
+//! Timing rides along in the same pass: a word issues the cycle after its
+//! predecessor, or later if a CQRF operand is still in flight on its link
+//! ([`crate::contention`]). Under [`TransferModel::Unconstrained`] word `w`
+//! issues at cycle `w` and the walk skips the timing bookkeeping.
+//!
+//! All state is laid out once per program in tables indexed by [`OpId`] and
+//! stream number. A stream needs no buffer of its own: the consumer of
+//! iteration `j` pops its producer's value of iteration `j - distance` (a
+//! loop live-in before that), and the stream holds
+//! `distance + pushed - popped` values.
 
+use crate::contention::{measure_achieved_ii, Booking, ContentionReport};
+use crate::exec::SimError;
 use crate::interp::StoreRecord;
 use crate::values::{apply, initial_value, invariant_value, live_in_value};
-use dms_ir::{Ddg, OpId, OpKind};
-use dms_machine::{MachineConfig, QueueFile};
+use dms_ir::{Ddg, OpId, OpKind, Operand};
+use dms_machine::{CqrfId, MachineConfig, TransferModel};
 use dms_regalloc::codegen::{CodeSlot, OperandSource, VliwProgram};
-use std::collections::HashMap;
-
-use crate::exec::SimError;
+use dms_telemetry::{SchedEvent, Telemetry};
 
 /// Summary of one program execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramReport {
     /// Total cycles: `(trip_count + stages - 1) * II`.
     pub cycles: u64,
@@ -44,24 +52,449 @@ pub struct ProgramReport {
     pub stores: Vec<StoreRecord>,
 }
 
-/// Key of a CQRF operand stream: `(consumer, operand index)` — one stream
-/// per consuming operand, exactly how the queue registers are allocated.
-type StreamKey = (OpId, usize);
+/// Everything one walk of a program measures: its values and its timing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Execution {
+    /// Stored values and instance counts.
+    pub report: ProgramReport,
+    /// Issue timing under the walk's transfer model.
+    pub timing: ContentionReport,
+}
 
-struct ProgramState {
-    queues: HashMap<StreamKey, QueueFile<i64>>,
-    fanout: HashMap<OpId, Vec<StreamKey>>,
-    history: HashMap<OpId, Vec<i64>>,
-    iteration_of: HashMap<OpId, u64>,
-    trip_count: u64,
+/// Marks an absent index.
+const NONE: u32 = u32::MAX;
+
+/// An operand source, resolved once per program.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Src {
+    /// An immediate or a loop invariant.
+    Const(i64),
+    /// The loop induction variable.
+    Induction,
+    /// `producer`'s value `distance` iterations back: read from the LRF
+    /// when `stream` is [`NONE`], else popped from that CQRF stream.
+    Def { producer: u32, distance: u32, stream: u32 },
+}
+
+impl Src {
+    /// The source of a DDG operand read through the local register file.
+    pub(crate) fn of_operand(operand: &Operand) -> Src {
+        match *operand {
+            Operand::Immediate(v) => Src::Const(v),
+            Operand::Invariant(k) => Src::Const(invariant_value(k)),
+            Operand::Induction => Src::Induction,
+            Operand::Def { op, distance } => Src::Def { producer: op.0, distance, stream: NONE },
+        }
+    }
+}
+
+/// One compiled slot: its operation and its range of `Walk::srcs`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    op: u32,
+    kind: OpKind,
+    srcs: (u32, u32),
+}
+
+/// One CQRF operand stream.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    producer: u32,
+    consumer: u32,
+    /// Loop live-ins pre-loaded before cycle 0.
+    distance: u32,
+    queue: CqrfId,
+    /// Booking window of the link its values cross, or [`NONE`] when
+    /// transfers are free.
+    link: u32,
+    /// Transfer slots per cycle of that link.
+    capacity: u32,
+    high_water: u64,
+}
+
+/// The state of one walk.
+#[derive(Debug)]
+pub(crate) struct Walk<'a> {
+    ddg: &'a Ddg,
+    trips: u64,
+    model: TransferModel,
+    slots: Vec<Slot>,
+    srcs: Vec<Src>,
+    /// Every word is `word_slots[start..end]`, indices into `slots`.
+    words: Vec<(u32, u32)>,
+    word_slots: Vec<u32>,
+    streams: Vec<Stream>,
+    /// Op `i` pushes into the streams `fanout[fanout_start[i]..fanout_start[i + 1]]`,
+    /// in (consumer, operand) order.
+    fanout_start: Vec<u32>,
+    fanout: Vec<u32>,
+    /// `values[op * trips + j]`: the value op produced in iteration `j`.
+    values: Vec<i64>,
+    /// Iterations each op has executed.
+    done: Vec<u64>,
+    /// `ready[stream * trips + j]`: first cycle the value pushed in the
+    /// producer's iteration `j` is consumable.
+    ready: Vec<u64>,
+    bookings: Vec<Booking>,
+    /// Kernel-phase issue cycles of every store, by op.
+    store_times: Vec<Vec<u64>>,
+    cqrf_capacity: u64,
+    next_cycle: u64,
+    words_issued: u64,
+    transfers: u64,
+    serialized: u64,
     report: ProgramReport,
 }
 
-/// Executes `trip_count` iterations of the emitted program.
+impl<'a> Walk<'a> {
+    /// An empty walk of `trips` iterations of `ddg`'s operations.
+    pub(crate) fn new(ddg: &'a Ddg, trips: u64, model: TransferModel, cqrf_capacity: u32) -> Self {
+        let ops = ddg.num_slots();
+        Walk {
+            ddg,
+            trips,
+            model,
+            slots: Vec::new(),
+            srcs: Vec::new(),
+            words: Vec::new(),
+            word_slots: Vec::new(),
+            streams: Vec::new(),
+            fanout_start: vec![0; ops + 1],
+            fanout: Vec::new(),
+            values: vec![0; ops * trips as usize],
+            done: vec![0; ops],
+            ready: Vec::new(),
+            bookings: Vec::new(),
+            store_times: Vec::new(),
+            cqrf_capacity: u64::from(cqrf_capacity.max(1)),
+            next_cycle: 0,
+            words_issued: 0,
+            transfers: 0,
+            serialized: 0,
+            report: ProgramReport::default(),
+        }
+    }
+
+    fn timed(&self) -> bool {
+        self.model != TransferModel::Unconstrained
+    }
+
+    /// Compiles a slot of `op` reading `srcs`; returns its index.
+    pub(crate) fn push_slot(&mut self, op: OpId, srcs: impl IntoIterator<Item = Src>) -> u32 {
+        let first = self.srcs.len() as u32;
+        self.srcs.extend(srcs);
+        let kind = self.ddg.op(op).kind;
+        self.slots.push(Slot { op: op.0, kind, srcs: (first, self.srcs.len() as u32) });
+        self.slots.len() as u32 - 1
+    }
+
+    /// Appends a word issuing the given slots; returns its index.
+    pub(crate) fn push_word(&mut self, slots: impl IntoIterator<Item = u32>) -> usize {
+        let start = self.word_slots.len() as u32;
+        self.word_slots.extend(slots);
+        self.words.push((start, self.word_slots.len() as u32));
+        self.words.len() - 1
+    }
+
+    /// Issues word `w` at the first cycle its operands allow.
+    pub(crate) fn issue_word(&mut self, w: usize, in_kernel: bool) -> Result<(), SimError> {
+        let (start, end) = self.words[w];
+        let mut at = self.next_cycle;
+        if self.timed() {
+            for i in start..end {
+                at = at.max(self.ready_at(self.slots[self.word_slots[i as usize] as usize]));
+            }
+        }
+        for i in start..end {
+            self.issue(self.slots[self.word_slots[i as usize] as usize], at, in_kernel)?;
+        }
+        self.next_cycle = at + 1;
+        self.words_issued += 1;
+        Ok(())
+    }
+
+    /// The stores recorded so far, in issue order.
+    pub(crate) fn into_stores(self) -> Vec<StoreRecord> {
+        self.report.stores
+    }
+
+    /// Value of `op` in iteration `it`, if that instance has executed.
+    fn produced(&self, op: u32, it: i64) -> Option<i64> {
+        let op = op as usize;
+        (it >= 0 && (it as u64) < self.done[op])
+            .then(|| self.values[op * self.trips as usize + it as usize])
+    }
+
+    /// First cycle every in-flight CQRF operand of `slot` is consumable. A
+    /// value not pushed yet imposes nothing: a producer earlier in the same
+    /// word may still push it, and a pop from an empty stream is an error
+    /// of the value pass.
+    fn ready_at(&self, slot: Slot) -> u64 {
+        let j = self.done[slot.op as usize];
+        let mut at = 0;
+        for src in &self.srcs[slot.srcs.0 as usize..slot.srcs.1 as usize] {
+            let Src::Def { producer, distance, stream } = *src else { continue };
+            let it = j as i64 - i64::from(distance);
+            if stream != NONE && j < self.trips && self.produced(producer, it).is_some() {
+                at = at.max(self.ready[stream as usize * self.trips as usize + it as usize]);
+            }
+        }
+        at
+    }
+
+    /// Executes one slot occurrence at cycle `at`: the next iteration of its
+    /// operation, unless the trip count is exhausted (ramp code beyond it,
+    /// only possible when `trip_count < stages`, is predicated off).
+    fn issue(&mut self, slot: Slot, at: u64, in_kernel: bool) -> Result<(), SimError> {
+        let (op, trips) = (slot.op as usize, self.trips as usize);
+        let j = self.done[op];
+        if j >= self.trips {
+            return Ok(());
+        }
+        let mut operands = [0i64; 2];
+        for (idx, s) in (slot.srcs.0..slot.srcs.1).enumerate() {
+            let value = match self.srcs[s as usize] {
+                Src::Const(v) => v,
+                Src::Induction => j as i64,
+                Src::Def { producer, distance, stream } => {
+                    let it = j as i64 - i64::from(distance);
+                    match self.produced(producer, it) {
+                        _ if it < 0 => live_in_value(self.ddg, OpId(producer), it),
+                        Some(v) => v,
+                        None if stream == NONE => initial_value(OpId(producer), it),
+                        None => {
+                            return Err(SimError::EmptyQueueRead {
+                                consumer: OpId(slot.op),
+                                iteration: j,
+                            })
+                        }
+                    }
+                }
+            };
+            if let Some(o) = operands.get_mut(idx) {
+                *o = value;
+            }
+        }
+        let arity = ((slot.srcs.1 - slot.srcs.0) as usize).min(operands.len());
+        let value = apply(slot.kind, &operands[..arity], j);
+        self.values[op * trips + j as usize] = value;
+        self.done[op] = j + 1;
+        self.report.instances_executed += 1;
+        self.report.useful_instances += u64::from(slot.kind.is_useful());
+        if slot.kind == OpKind::Store {
+            self.report.stores.push(StoreRecord { op: OpId(slot.op), iteration: j, value });
+            if self.timed() && in_kernel {
+                self.store_times[op].push(at);
+            }
+        }
+        let fanout = self.fanout_start[op] as usize..self.fanout_start[op + 1] as usize;
+        for f in fanout.clone() {
+            let s = self.fanout[f] as usize;
+            let stream = self.streams[s];
+            self.report.cross_cluster_values += 1;
+            let depth = u64::from(stream.distance) + j + 1 - self.done[stream.consumer as usize];
+            if depth > self.cqrf_capacity {
+                return Err(SimError::QueueOverflow {
+                    producer: OpId(slot.op),
+                    consumer: OpId(stream.consumer),
+                });
+            }
+            self.streams[s].high_water = stream.high_water.max(depth);
+            if !self.timed() {
+                continue;
+            }
+            // One transaction per link carries the value to every stream
+            // crossing it (a bus write is a broadcast).
+            let shared = self.fanout[fanout.start..f].iter().find(|&&e| {
+                let e = &self.streams[e as usize];
+                e.link != NONE && e.queue == stream.queue
+            });
+            self.ready[s * trips + j as usize] = match shared {
+                _ if stream.link == NONE => at + 1,
+                Some(&e) => self.ready[e as usize * trips + j as usize],
+                None => {
+                    let grant = self.bookings[stream.link as usize].acquire(at, stream.capacity);
+                    self.transfers += 1;
+                    self.serialized += u64::from(grant > at);
+                    grant + 1
+                }
+            };
+        }
+        Ok(())
+    }
+
+    /// Lays out `program`: kernel words first, then the prologue and the
+    /// epilogue, whose slots repeat kernel slots. Every live operation
+    /// appears exactly once in the kernel, and its slot there defines the
+    /// operation's streams.
+    fn compile(&mut self, program: &VliwProgram, machine: &MachineConfig) -> Result<(), SimError> {
+        let topology = machine.topology();
+        let clusters = topology.len() as usize;
+        self.bookings =
+            vec![Booking::default(); if self.timed() { clusters * clusters } else { 0 }];
+        let mut kernel_slot: Vec<Option<(u32, &CodeSlot)>> = vec![None; self.done.len()];
+        let kernel_slots = program.kernel.iter().flat_map(|w| &w.slots);
+        for (i, slot) in kernel_slots.clone().enumerate() {
+            kernel_slot[slot.op.index()] = Some((i as u32, slot));
+        }
+        let ddg = self.ddg;
+        for slot in kernel_slots {
+            let malformed = |detail: String| SimError::MalformedProgram { op: slot.op, detail };
+            let operation = ddg.op(slot.op);
+            if slot.sources.len() != operation.reads.len() {
+                return Err(malformed(format!(
+                    "slot has {} operand sources but the operation reads {} values",
+                    slot.sources.len(),
+                    operation.reads.len()
+                )));
+            }
+            let mut srcs = Vec::with_capacity(slot.sources.len());
+            for (idx, (source, read)) in slot.sources.iter().zip(&operation.reads).enumerate() {
+                let writer = |p: OpId| kernel_slot[p.index()].map(|(_, k)| k.cluster);
+                srcs.push(match (source, read.producer()) {
+                    (&OperandSource::Immediate(v), _) => Src::Const(v),
+                    (&OperandSource::Invariant(k), _) => Src::Const(invariant_value(k)),
+                    (OperandSource::Induction, _) => Src::Induction,
+                    (&OperandSource::Lrf { producer }, Some((p, _))) if p == producer => {
+                        Src::of_operand(read)
+                    }
+                    (&OperandSource::Cqrf { producer, queue }, Some((p, distance)))
+                        if p == producer
+                            && writer(p).and_then(|w| topology.queue_between(w, slot.cluster))
+                                == Some(queue) =>
+                    {
+                        if u64::from(distance) > self.cqrf_capacity {
+                            return Err(SimError::QueueOverflow { producer: p, consumer: slot.op });
+                        }
+                        let capacity =
+                            writer(p).and_then(|w| topology.link_capacity(w, slot.cluster));
+                        let link = match (self.model, capacity) {
+                            (TransferModel::Unconstrained, _) | (_, None) => NONE,
+                            (TransferModel::SharedMedium, _) => 0,
+                            (TransferModel::PerLink, _) => {
+                                queue.writer.0 * clusters as u32 + queue.reader.0
+                            }
+                        };
+                        self.streams.push(Stream {
+                            producer: p.0,
+                            consumer: slot.op.0,
+                            distance,
+                            queue,
+                            link,
+                            capacity: capacity.unwrap_or(0),
+                            high_water: u64::from(distance),
+                        });
+                        Src::Def { producer: p.0, distance, stream: self.streams.len() as u32 - 1 }
+                    }
+                    (source, _) => {
+                        return Err(malformed(format!(
+                            "operand {idx} names {source}, which is not the value it reads"
+                        )))
+                    }
+                });
+            }
+            self.push_slot(slot.op, srcs);
+        }
+        for word in &program.kernel {
+            let start = self.word_slots.len() as u32;
+            self.push_word(start..start + word.slots.len() as u32);
+        }
+        for word in program.prologue.iter().chain(&program.epilogue) {
+            let slots = word.slots.iter().map(|slot| match kernel_slot[slot.op.index()] {
+                Some((i, k)) if k == slot => Ok(i),
+                _ => Err(SimError::MalformedProgram {
+                    op: slot.op,
+                    detail: "ramp slot differs from its kernel slot".into(),
+                }),
+            });
+            let slots = slots.collect::<Result<Vec<_>, _>>()?;
+            self.push_word(slots);
+        }
+
+        let mut order: Vec<u32> = (0..self.streams.len() as u32).collect();
+        order.sort_by_key(|&s| {
+            (self.streams[s as usize].producer, self.streams[s as usize].consumer)
+        });
+        for &s in &order {
+            self.fanout_start[self.streams[s as usize].producer as usize + 1] += 1;
+        }
+        for i in 1..self.fanout_start.len() {
+            self.fanout_start[i] += self.fanout_start[i - 1];
+        }
+        self.fanout = order;
+        Ok(())
+    }
+}
+
+/// Walks `trip_count` iterations of the emitted program once, computing its
+/// stored values and, under `model`, the issue cycle of every word.
 ///
 /// `ddg` must be the scheduled DDG the program was emitted from (it supplies
 /// the iteration distance of every operand, which the instruction encoding
-/// does not carry).
+/// does not carry). [`execute_program`] is this walk under
+/// [`TransferModel::Unconstrained`] and [`crate::contended_replay`] under
+/// the machine's own model. Timing never changes values: every model sees
+/// the same stores, instance counts and queue depths.
+///
+/// # Errors
+///
+/// Returns a [`SimError`] for an inconsistency between program and DDG, a
+/// read from an empty CQRF stream or a push into a full one; a correctly
+/// emitted program of a valid schedule never fails.
+pub fn run_program(
+    program: &VliwProgram,
+    ddg: &Ddg,
+    machine: &MachineConfig,
+    model: TransferModel,
+    trip_count: u64,
+) -> Result<Execution, SimError> {
+    let mut walk = Walk::new(ddg, trip_count, model, machine.cqrf_capacity);
+    walk.compile(program, machine)?;
+    if walk.timed() {
+        walk.ready = vec![0; walk.streams.len() * trip_count as usize];
+        walk.store_times = vec![Vec::new(); walk.done.len()];
+    }
+    let stages = u64::from(program.stages.max(1));
+    let kernel_repetitions = trip_count.saturating_sub(stages - 1);
+    let (kernel, ramp) = (program.kernel.len(), program.kernel.len() + program.prologue.len());
+    for w in kernel..ramp {
+        walk.issue_word(w, false)?;
+    }
+    for _ in 0..kernel_repetitions {
+        for w in 0..kernel {
+            walk.issue_word(w, true)?;
+        }
+    }
+    for w in ramp..walk.words.len() {
+        walk.issue_word(w, false)?;
+    }
+
+    let stall_cycles = walk.next_cycle - walk.words_issued;
+    if stall_cycles > 0 {
+        Telemetry::current().event(SchedEvent::LinkStall { cycles: stall_cycles });
+    }
+    let timing = ContentionReport {
+        scheduled_ii: program.ii,
+        achieved_ii: measure_achieved_ii(&walk.store_times, program.ii),
+        cycles: walk.next_cycle,
+        ideal_cycles: walk.words_issued,
+        stall_cycles,
+        transfers: walk.transfers,
+        serialized_transfers: walk.serialized,
+    };
+    let report = ProgramReport {
+        cycles: if trip_count == 0 { 0 } else { (trip_count + stages - 1) * u64::from(program.ii) },
+        kernel_repetitions,
+        max_queue_depth: walk.streams.iter().map(|s| s.high_water).max().unwrap_or(0),
+        ..walk.report
+    };
+    Ok(Execution { report, timing })
+}
+
+/// Executes `trip_count` iterations of the emitted program under idealised
+/// timing: [`run_program`] under [`TransferModel::Unconstrained`].
+///
+/// `ddg` must be the scheduled DDG the program was emitted from.
 ///
 /// # Errors
 ///
@@ -74,174 +507,7 @@ pub fn execute_program(
     machine: &MachineConfig,
     trip_count: u64,
 ) -> Result<ProgramReport, SimError> {
-    let stages = program.stages.max(1) as u64;
-    let kernel_repetitions = trip_count.saturating_sub(stages - 1);
-    let cycles = if trip_count == 0 { 0 } else { (trip_count + stages - 1) * program.ii as u64 };
-
-    let mut st = ProgramState {
-        queues: HashMap::new(),
-        fanout: HashMap::new(),
-        history: HashMap::new(),
-        iteration_of: HashMap::new(),
-        trip_count,
-        report: ProgramReport {
-            cycles,
-            kernel_repetitions,
-            instances_executed: 0,
-            useful_instances: 0,
-            cross_cluster_values: 0,
-            max_queue_depth: 0,
-            stores: Vec::new(),
-        },
-    };
-
-    // --- set up one FIFO stream per CQRF-annotated operand ------------------
-    // Every live operation appears exactly once in the kernel, so one pass
-    // over the kernel words discovers every stream (and a preliminary pass
-    // the cluster of every producer, needed to check that each CQRF
-    // annotation names the queue file the machine's topology actually
-    // provides between the two clusters).
-    let topology = machine.topology();
-    let cluster_of: HashMap<OpId, dms_machine::ClusterId> =
-        program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
-    for slot in program.kernel.iter().flat_map(|w| &w.slots) {
-        let operation = ddg.op(slot.op);
-        if slot.sources.len() != operation.reads.len() {
-            return Err(SimError::MalformedProgram {
-                op: slot.op,
-                detail: format!(
-                    "slot has {} operand sources but the operation reads {} values",
-                    slot.sources.len(),
-                    operation.reads.len()
-                ),
-            });
-        }
-        for (idx, source) in slot.sources.iter().enumerate() {
-            let OperandSource::Cqrf { producer, queue } = source else { continue };
-            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} is annotated as a CQRF read but is no Def"),
-                });
-            };
-            let expected =
-                cluster_of.get(producer).and_then(|&pc| topology.queue_between(pc, slot.cluster));
-            if read_producer != *producer || expected != Some(*queue) {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
-                });
-            }
-            let mut q = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
-            for k in 0..distance {
-                // live-in values of loop-carried dependences, oldest first
-                if !q.push(live_in_value(ddg, *producer, k as i64 - distance as i64)) {
-                    return Err(SimError::QueueOverflow { producer: *producer, consumer: slot.op });
-                }
-            }
-            st.queues.insert((slot.op, idx), q);
-            st.fanout.entry(*producer).or_default().push((slot.op, idx));
-        }
-    }
-    // Deterministic push order for producers feeding several streams.
-    for streams in st.fanout.values_mut() {
-        streams.sort_unstable();
-    }
-
-    // --- issue the words in program order -----------------------------------
-    for word in &program.prologue {
-        for slot in &word.slots {
-            issue(&mut st, ddg, slot)?;
-        }
-    }
-    for _ in 0..kernel_repetitions {
-        for word in &program.kernel {
-            for slot in &word.slots {
-                issue(&mut st, ddg, slot)?;
-            }
-        }
-    }
-    for word in &program.epilogue {
-        for slot in &word.slots {
-            issue(&mut st, ddg, slot)?;
-        }
-    }
-
-    st.report.max_queue_depth =
-        st.queues.values().map(|q| q.high_water() as u64).max().unwrap_or(0);
-    Ok(st.report)
-}
-
-/// Executes one slot occurrence: the next iteration of its operation.
-fn issue(st: &mut ProgramState, ddg: &Ddg, slot: &CodeSlot) -> Result<(), SimError> {
-    let j = *st.iteration_of.get(&slot.op).unwrap_or(&0);
-    if j >= st.trip_count {
-        // Ramp code for an iteration beyond the trip count (only possible
-        // when trip_count < stages): the hardware predicates it off.
-        return Ok(());
-    }
-    st.iteration_of.insert(slot.op, j + 1);
-    let operation = ddg.op(slot.op);
-
-    let mut operands = Vec::with_capacity(slot.sources.len());
-    for (idx, source) in slot.sources.iter().enumerate() {
-        let value = match source {
-            OperandSource::Immediate(v) => *v,
-            OperandSource::Invariant(k) => invariant_value(*k),
-            OperandSource::Induction => j as i64,
-            OperandSource::Cqrf { .. } => st
-                .queues
-                .get_mut(&(slot.op, idx))
-                .and_then(QueueFile::pop)
-                .ok_or(SimError::EmptyQueueRead { consumer: slot.op, iteration: j })?,
-            OperandSource::Lrf { producer } => {
-                let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                    return Err(SimError::MalformedProgram {
-                        op: slot.op,
-                        detail: format!("operand {idx} is annotated as an LRF read but is no Def"),
-                    });
-                };
-                if read_producer != *producer {
-                    return Err(SimError::MalformedProgram {
-                        op: slot.op,
-                        detail: format!("operand {idx} LRF annotation names the wrong producer"),
-                    });
-                }
-                let wanted = j as i64 - distance as i64;
-                if wanted < 0 {
-                    live_in_value(ddg, *producer, wanted)
-                } else {
-                    st.history
-                        .get(producer)
-                        .and_then(|h| h.get(wanted as usize))
-                        .copied()
-                        .unwrap_or_else(|| initial_value(*producer, wanted))
-                }
-            }
-        };
-        operands.push(value);
-    }
-
-    let value = apply(slot.kind, &operands, j);
-    st.history.entry(slot.op).or_default().push(value);
-    st.report.instances_executed += 1;
-    if slot.kind.is_useful() {
-        st.report.useful_instances += 1;
-    }
-    if slot.kind == OpKind::Store {
-        st.report.stores.push(StoreRecord { op: slot.op, iteration: j, value });
-    }
-    if let Some(streams) = st.fanout.get(&slot.op) {
-        for key in streams {
-            st.report.cross_cluster_values += 1;
-            if let Some(q) = st.queues.get_mut(key) {
-                if !q.push(value) {
-                    return Err(SimError::QueueOverflow { producer: slot.op, consumer: key.0 });
-                }
-            }
-        }
-    }
-    Ok(())
+    run_program(program, ddg, machine, TransferModel::Unconstrained, trip_count).map(|e| e.report)
 }
 
 #[cfg(test)]
