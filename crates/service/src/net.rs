@@ -1,10 +1,17 @@
 //! TCP transport for the schedule service.
 //!
-//! [`serve`] binds a `std::net::TcpListener` and answers newline-delimited
-//! JSON requests (see [`crate::wire`]) with one thread per connection — no
-//! async runtime, only the standard library. A `{"op":"shutdown"}` request
-//! stops the accept loop; the acceptor is unblocked by a self-connect so a
-//! plain blocking `accept()` suffices.
+//! [`serve_on`] answers newline-delimited JSON requests (see [`crate::wire`])
+//! on an already-bound `std::net::TcpListener`, with one thread per
+//! connection — no async runtime, only the standard library; [`serve`]
+//! binds an address first. A `{"op":"shutdown"}` request stops the accept
+//! loop; the acceptor is unblocked by a self-connect so a plain blocking
+//! `accept()` suffices. A connection made before the accept loop starts is
+//! queued by the kernel on the bound listener, so there is no startup race
+//! for a caller that binds first.
+//!
+//! Untrusted input cannot take the process down: a request line longer than
+//! [`MAX_LINE_BYTES`] and JSON nested deeper than [`wire::MAX_NESTING`] are
+//! answered with an error reply, and the connection stays open.
 //!
 //! Handler threads poll their stream with a read timeout
 //! (`READ_POLL_INTERVAL`, 50 ms) instead of blocking indefinitely: `serve`'s
@@ -18,7 +25,7 @@
 
 use crate::service::{ScheduleRequest, ScheduleService};
 use crate::wire;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,7 +42,17 @@ use std::time::Duration;
 ///
 /// Returns the bind error if `addr` cannot be bound.
 pub fn serve(addr: impl ToSocketAddrs, service: Arc<ScheduleService>) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
+    serve_on(TcpListener::bind(addr)?, service)
+}
+
+/// Runs the service on an already-bound `listener` until a shutdown request
+/// arrives: [`serve`] without the bind, for callers that need the address
+/// (say, of port 0) before the accept loop starts.
+///
+/// # Errors
+///
+/// Returns the error if the listener's local address cannot be read.
+pub fn serve_on(listener: TcpListener, service: Arc<ScheduleService>) -> std::io::Result<()> {
     let local = listener.local_addr()?;
     println!("dms-service listening on {local} ({} cache shards)", service.num_shards());
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -59,6 +76,11 @@ pub fn serve(addr: impl ToSocketAddrs, service: Arc<ScheduleService>) -> std::io
 /// load per idle connection per interval.
 const READ_POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Longest request line a handler buffers, newline excluded. Far above any
+/// schedule request (a few KB); a longer line is answered with an error
+/// reply and the rest of it is discarded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn handle_connection(
     stream: TcpStream,
     service: &ScheduleService,
@@ -74,12 +96,16 @@ fn handle_connection(
     }
     let mut reader = BufReader::new(stream);
     // Not `reader.lines()`: with a read timeout a line may arrive in
-    // pieces, and `read_line` appends whatever bytes preceded the timeout
+    // pieces, and `read_until` appends whatever bytes preceded the timeout
     // to `line`. Keep the accumulator across timeouts and only clear it
-    // after a *complete* line is processed.
-    let mut line = String::new();
+    // after a *complete* line is processed. Reads stop one byte past
+    // `MAX_LINE_BYTES`, so `line` never grows beyond that.
+    let mut line = Vec::new();
+    // Whether the rest of an oversized line is being discarded.
+    let mut discarding = false;
     loop {
-        match reader.read_line(&mut line) {
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF: client hung up
             Ok(_) => {}
             Err(e)
@@ -97,36 +123,24 @@ fn handle_connection(
             }
             Err(_) => break,
         }
-        if line.trim().is_empty() {
+        // A line without its newline is either cut at the length bound or
+        // the last one before the peer hung up.
+        let oversized = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let reply = if discarding {
+            discarding = oversized;
             line.clear();
             continue;
-        }
-        let reply = match wire::decode_request(line.trim()) {
-            Err(e) => wire::encode_error(&e),
-            Ok(wire::WireRequest::Stats) => {
-                wire::encode_stats_response(service.cache_stats(), service.cache_len())
-            }
-            Ok(wire::WireRequest::Metrics) => {
-                wire::encode_metrics_response(&service.metrics_text())
-            }
-            Ok(wire::WireRequest::Shutdown) => {
-                shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop: it re-checks the flag per
-                // connection, so poke it with a throwaway connect.
-                let _ = TcpStream::connect(local);
-                wire::encode_shutdown_response()
-            }
-            Ok(wire::WireRequest::Schedule(ws)) => {
-                let machine = ws.machine.build();
-                let request = ScheduleRequest {
-                    body: &ws.body,
-                    machine: &machine,
-                    dms: ws.dms,
-                    scheduler: ws.scheduler,
-                    verify_trips: ws.verify_trips,
-                    contention: ws.contention,
-                };
-                wire::encode_response(&service.schedule(&request))
+        } else if oversized {
+            discarding = true;
+            wire::encode_error(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => {
+                    line.clear();
+                    continue;
+                }
+                Ok(text) => answer(text.trim(), service, shutdown, local),
+                Err(_) => wire::encode_error("request line is not valid UTF-8"),
             }
         };
         line.clear();
@@ -138,6 +152,41 @@ fn handle_connection(
         }
         if shutdown.load(Ordering::SeqCst) {
             break;
+        }
+    }
+}
+
+/// The reply to one request line.
+fn answer(
+    line: &str,
+    service: &ScheduleService,
+    shutdown: &AtomicBool,
+    local: std::net::SocketAddr,
+) -> String {
+    match wire::decode_request(line) {
+        Err(e) => wire::encode_error(&e),
+        Ok(wire::WireRequest::Stats) => {
+            wire::encode_stats_response(service.cache_stats(), service.cache_len())
+        }
+        Ok(wire::WireRequest::Metrics) => wire::encode_metrics_response(&service.metrics_text()),
+        Ok(wire::WireRequest::Shutdown) => {
+            shutdown.store(true, Ordering::SeqCst);
+            // Unblock the accept loop: it re-checks the flag per
+            // connection, so poke it with a throwaway connect.
+            let _ = TcpStream::connect(local);
+            wire::encode_shutdown_response()
+        }
+        Ok(wire::WireRequest::Schedule(ws)) => {
+            let machine = ws.machine.build();
+            let request = ScheduleRequest {
+                body: &ws.body,
+                machine: &machine,
+                dms: ws.dms,
+                scheduler: ws.scheduler,
+                verify_trips: ws.verify_trips,
+                contention: ws.contention,
+            };
+            wire::encode_response(&service.schedule(&request))
         }
     }
 }
@@ -205,15 +254,64 @@ mod tests {
     use dms_ir::kernels;
     use dms_machine::TopologyKind;
 
+    /// Binds port 0 and serves on that listener from a new thread. A test
+    /// may connect at once: the kernel queues the connection on the bound
+    /// listener until the accept loop takes it.
     fn spawn_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-        // Bind on port 0 first so the test knows the address before serving.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        drop(listener);
         let handle = std::thread::spawn(move || {
-            serve(addr, Arc::new(ScheduleService::default())).unwrap();
+            serve_on(listener, Arc::new(ScheduleService::default())).unwrap();
         });
         (addr, handle)
+    }
+
+    /// Sends `line` plus a newline on `stream` and parses the reply line.
+    fn send(stream: &mut TcpStream, line: &[u8]) -> Json {
+        stream.write_all(line).unwrap();
+        stream.write_all(b"\n").unwrap();
+        stream.flush().unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream.try_clone().unwrap()).read_line(&mut reply).unwrap();
+        Json::parse(reply.trim()).unwrap()
+    }
+
+    /// Regression test for a crash: one line of 200 000 `[` used to
+    /// overflow the handler's stack in the recursive JSON parser and abort
+    /// the whole process. It now gets an error reply, and both that
+    /// connection and a new one keep being answered.
+    #[test]
+    fn deeply_nested_request_gets_an_error_reply_and_serve_survives() {
+        let (addr, handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let reply = send(&mut stream, "[".repeat(200_000).as_bytes());
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nesting"), "{error}");
+        let stats = send(&mut stream, wire::encode_stats_request().as_bytes());
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        let stats = send(&mut fresh, wire::encode_stats_request().as_bytes());
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        send(&mut fresh, wire::encode_shutdown_request().as_bytes());
+        handle.join().unwrap();
+    }
+
+    /// A request line longer than the bound is answered with one error
+    /// reply and discarded; the next line on the connection is answered.
+    #[test]
+    fn oversized_request_line_gets_an_error_reply_and_the_connection_survives() {
+        let (addr, handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let reply = send(&mut stream, &vec![b' '; 2 * MAX_LINE_BYTES + 7]);
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("longer than"), "{error}");
+        let stats = send(&mut stream, wire::encode_stats_request().as_bytes());
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        send(&mut stream, wire::encode_shutdown_request().as_bytes());
+        handle.join().unwrap();
     }
 
     #[test]

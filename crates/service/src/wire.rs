@@ -79,7 +79,7 @@ impl Json {
     ///
     /// Returns a position-annotated message on malformed input.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -198,9 +198,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so untrusted input must not choose the depth;
+/// a schedule request nests a handful of levels.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -238,11 +245,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_NESTING => {
+                Err(format!("nesting deeper than {MAX_NESTING} levels at byte {}", self.pos))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -872,6 +889,42 @@ mod tests {
         let v = Json::parse(line).unwrap();
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
+    }
+
+    /// Nesting depth of a parsed document.
+    fn depth(v: &Json) -> usize {
+        match v {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn json_nesting_is_bounded_without_recursing_past_the_bound() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert_eq!(depth(&Json::parse(&nested(MAX_NESTING)).unwrap()), MAX_NESTING);
+        let err = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The line that used to overflow the handler's stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+        // A real request nests far below the bound.
+        let request = encode_schedule_request(&WireSchedule {
+            body: kernels::fir(8, 64),
+            machine: WireMachine {
+                unclustered: false,
+                clusters: 4,
+                copy_units: 1,
+                cqrf_capacity: None,
+                topology: TopologyKind::Ring,
+            },
+            scheduler: SchedulerKind::Dms,
+            dms: DmsConfig::default(),
+            verify_trips: Some(64),
+            contention: true,
+        });
+        assert!(depth(&Json::parse(&request).unwrap()) * 8 < MAX_NESTING);
     }
 
     #[test]
