@@ -1,6 +1,6 @@
 //! Figure C — *achieved* II under contention-accurate interconnect timing
-//! (a beyond-the-paper experiment enabled by the `dms-sim` discrete-event
-//! replay layer).
+//! (a beyond-the-paper experiment enabled by the link-contention timing of
+//! the `dms-sim` program executor).
 //!
 //! Figure T compares topologies by the II the *scheduler* reaches, which
 //! implicitly assumes every cross-cluster transfer lands in the cycle the

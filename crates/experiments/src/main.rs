@@ -34,8 +34,8 @@
 //! sweeps stay byte-reproducible for any `--threads`); `figP` runs the
 //! portfolio against the plain heuristic at 2/4/8 clusters with
 //! verification forced on and reports how many loops recover II.
-//! `--contention` additionally replays every verified schedule on the
-//! discrete-event interconnect timing model (`dms_sim::contended_replay`)
+//! `--contention` additionally times every verified schedule under the
+//! interconnect's link bandwidth (`dms_sim::contended_replay`)
 //! and records the *achieved* II — the rate the machine sustains once
 //! cross-cluster transfers serialise on real links — in the measurement
 //! CSV's `achieved_ii` column; `figC` sweeps that replay across all four

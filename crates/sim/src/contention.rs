@@ -185,39 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn crossbar_replay_is_stall_free_and_achieves_the_scheduled_ii() {
-        for (name, rep) in replay_on(TopologyKind::Crossbar, 8) {
-            assert_eq!(rep.achieved_ii, rep.scheduled_ii, "{name}");
-            assert_eq!(rep.stall_cycles, 0, "{name}");
-            assert_eq!(rep.serialized_transfers, 0, "{name}");
-            assert_eq!(rep.cycles, rep.ideal_cycles, "{name}");
-        }
-    }
-
-    #[test]
-    fn achieved_ii_never_beats_the_scheduled_ii() {
-        for kind in [
-            TopologyKind::Ring,
-            TopologyKind::ChordalRing { chord: 2 },
-            TopologyKind::Bus,
-            TopologyKind::Crossbar,
-        ] {
-            for clusters in [2, 4, 8] {
-                for (name, rep) in replay_on(kind, clusters) {
-                    assert!(
-                        rep.achieved_ii >= rep.scheduled_ii,
-                        "{name} on {kind:?} x{clusters}: {} < {}",
-                        rep.achieved_ii,
-                        rep.scheduled_ii
-                    );
-                    assert!(rep.cycles >= rep.ideal_cycles, "{name}");
-                    assert_eq!(rep.stall_cycles, rep.cycles - rep.ideal_cycles, "{name}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn single_cluster_replay_has_no_transfers() {
         let l = kernels::fir(8, 64);
         let m = MachineConfig::paper_clustered(1);
@@ -237,36 +204,5 @@ mod tests {
         let reps = replay_on(TopologyKind::Bus, 8);
         let serialized: u64 = reps.iter().map(|(_, r)| r.serialized_transfers).sum();
         assert!(serialized > 0, "no bus transfer was ever delayed across the suite");
-    }
-
-    #[test]
-    fn short_trip_counts_replay_cleanly() {
-        let l = kernels::horner(5, 8);
-        let m = MachineConfig::paper_clustered(2);
-        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        let p = emit(&r, &m);
-        for trips in [0u64, 1, 2] {
-            let rep = contended_replay(&p, &r.ddg, &m, trips).unwrap();
-            assert!(rep.achieved_ii >= rep.scheduled_ii);
-        }
-    }
-
-    #[test]
-    fn mismatched_slot_arity_is_reported() {
-        let l = kernels::daxpy(16);
-        let m = MachineConfig::paper_clustered(2);
-        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        let mut p = emit(&r, &m);
-        let slot = p
-            .kernel
-            .iter_mut()
-            .flat_map(|w| &mut w.slots)
-            .find(|s| s.sources.len() > 1)
-            .expect("daxpy has multi-operand slots");
-        slot.sources.pop();
-        assert!(matches!(
-            contended_replay(&p, &r.ddg, &m, 8),
-            Err(SimError::MalformedProgram { .. })
-        ));
     }
 }

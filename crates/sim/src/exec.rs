@@ -182,7 +182,6 @@ mod tests {
     use super::*;
     use dms_core::{dms_schedule, DmsConfig};
     use dms_ir::{kernels, transform};
-    use dms_machine::ClusterId;
     use dms_sched::ims::{ims_schedule, ImsConfig};
 
     #[test]
@@ -231,28 +230,6 @@ mod tests {
         assert!(report.cross_cluster_values > 0);
         assert!(report.max_queue_depth >= 1);
         let _ = transform::unroll(&l, 1); // keep the transform import exercised
-    }
-
-    #[test]
-    fn corrupted_schedule_is_detected() {
-        // Move the store of a chain to an unrelated cluster far from its
-        // producer: the simulator must flag the communication conflict.
-        let l = kernels::daxpy(32);
-        let m = MachineConfig::paper_clustered(6);
-        let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        // find the store and its producer
-        let store = r
-            .ddg
-            .live_ops()
-            .find(|(_, o)| o.kind == dms_ir::OpKind::Store)
-            .map(|(id, _)| id)
-            .unwrap();
-        let producer = r.ddg.op(store).defs_read().next().unwrap().0;
-        let p_cluster = r.schedule.get(producer).unwrap().cluster;
-        let far = ClusterId((p_cluster.0 + 3) % 6);
-        let t = r.schedule.get(store).unwrap().time;
-        r.schedule.place(store, t, far);
-        assert!(matches!(simulate(&r, &m, 8), Err(SimError::CommunicationConflict { .. })));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn reference_trace(ddg: &Ddg, trip_count: u64) -> Vec<StoreRecord> {
     for _ in 0..trip_count {
         walk.issue_word(body, false).expect("a body without CQRF streams cannot fail");
     }
-    walk.into_stores()
+    walk.report.stores
 }
 
 #[cfg(test)]

@@ -5,18 +5,22 @@
 //! schedules, which both validates the reproduction and exercises the queue
 //! register file semantics of the architecture:
 //!
-//! * [`interp`] — a sequential reference interpreter of a loop DDG, defining
-//!   the semantics every correct schedule must reproduce,
-//! * [`exec`] — a software-pipelined executor that runs the kernel (plus
-//!   prologue and epilogue) on the clustered machine model, routing every
-//!   cross-cluster value through a FIFO queue and checking single-read
-//!   discipline,
-//! * [`vliw`] — an executor for the *emitted* VLIW program (the
-//!   `dms_regalloc::emit` output): prologue, kernel repetitions and epilogue
-//!   run instruction word by instruction word, operands read from the
-//!   register files their codegen annotations name,
+//! * [`vliw`] — the one program executor: [`run_program`] walks the
+//!   *emitted* VLIW program (the `dms_regalloc::emit` output) instruction
+//!   word by instruction word, reading operands from the register files
+//!   their codegen annotations name, and computes the stored values and,
+//!   under a [`dms_machine::TransferModel`] parameter, every word's issue
+//!   cycle in the same pass,
+//! * [`contention`] — the link booking window and achieved-II measurement
+//!   behind that timing; [`contended_replay`] is the walk under the
+//!   machine's own model,
+//! * [`interp`] — the sequential reference interpreter of a loop DDG,
+//!   defining the semantics every correct schedule must reproduce; it runs
+//!   on the executor's dense state,
+//! * [`exec`] — [`simulate`]: checks a schedule can be lowered, emits it,
+//!   walks it and compares the stores against the reference,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →
-//!   execute → cross-check against the scalar reference,
+//!   walk → cross-check against the scalar reference,
 //! * [`values`] — the deterministic value semantics shared by all of them.
 //!
 //! The schedule-level entry point is [`simulate`]; the pipeline-level entry

@@ -128,22 +128,32 @@ pub(crate) struct Walk<'a> {
     /// in (consumer, operand) order.
     fanout_start: Vec<u32>,
     fanout: Vec<u32>,
-    /// `values[op * trips + j]`: the value op produced in iteration `j`.
+    /// `values[j * ops + op]`: the value op produced in iteration `j`.
+    /// Rows are added as iterations run, so memory follows progress,
+    /// not the requested trip count.
     values: Vec<i64>,
     /// Iterations each op has executed.
     done: Vec<u64>,
-    /// `ready[stream * trips + j]`: first cycle the value pushed in the
-    /// producer's iteration `j` is consumable.
+    cqrf_capacity: u64,
+    clock: Clock,
+    pub(crate) report: ProgramReport,
+}
+
+/// The timing state of a walk; the tables stay empty under
+/// [`TransferModel::Unconstrained`].
+#[derive(Debug, Default)]
+struct Clock {
+    /// First cycle the next word may issue.
+    next_cycle: u64,
+    words_issued: u64,
+    /// `ready[j * streams + stream]`: first cycle the value pushed in the
+    /// producer's iteration `j` is consumable. Grown like `values`.
     ready: Vec<u64>,
     bookings: Vec<Booking>,
     /// Kernel-phase issue cycles of every store, by op.
     store_times: Vec<Vec<u64>>,
-    cqrf_capacity: u64,
-    next_cycle: u64,
-    words_issued: u64,
     transfers: u64,
     serialized: u64,
-    report: ProgramReport,
 }
 
 impl<'a> Walk<'a> {
@@ -161,16 +171,10 @@ impl<'a> Walk<'a> {
             streams: Vec::new(),
             fanout_start: vec![0; ops + 1],
             fanout: Vec::new(),
-            values: vec![0; ops * trips as usize],
+            values: Vec::new(),
             done: vec![0; ops],
-            ready: Vec::new(),
-            bookings: Vec::new(),
-            store_times: Vec::new(),
             cqrf_capacity: u64::from(cqrf_capacity.max(1)),
-            next_cycle: 0,
-            words_issued: 0,
-            transfers: 0,
-            serialized: 0,
+            clock: Clock::default(),
             report: ProgramReport::default(),
         }
     }
@@ -199,7 +203,7 @@ impl<'a> Walk<'a> {
     /// Issues word `w` at the first cycle its operands allow.
     pub(crate) fn issue_word(&mut self, w: usize, in_kernel: bool) -> Result<(), SimError> {
         let (start, end) = self.words[w];
-        let mut at = self.next_cycle;
+        let mut at = self.clock.next_cycle;
         if self.timed() {
             for i in start..end {
                 at = at.max(self.ready_at(self.slots[self.word_slots[i as usize] as usize]));
@@ -208,21 +212,16 @@ impl<'a> Walk<'a> {
         for i in start..end {
             self.issue(self.slots[self.word_slots[i as usize] as usize], at, in_kernel)?;
         }
-        self.next_cycle = at + 1;
-        self.words_issued += 1;
+        self.clock.next_cycle = at + 1;
+        self.clock.words_issued += 1;
         Ok(())
-    }
-
-    /// The stores recorded so far, in issue order.
-    pub(crate) fn into_stores(self) -> Vec<StoreRecord> {
-        self.report.stores
     }
 
     /// Value of `op` in iteration `it`, if that instance has executed.
     fn produced(&self, op: u32, it: i64) -> Option<i64> {
         let op = op as usize;
         (it >= 0 && (it as u64) < self.done[op])
-            .then(|| self.values[op * self.trips as usize + it as usize])
+            .then(|| self.values[it as usize * self.done.len() + op])
     }
 
     /// First cycle every in-flight CQRF operand of `slot` is consumable. A
@@ -236,7 +235,8 @@ impl<'a> Walk<'a> {
             let Src::Def { producer, distance, stream } = *src else { continue };
             let it = j as i64 - i64::from(distance);
             if stream != NONE && j < self.trips && self.produced(producer, it).is_some() {
-                at = at.max(self.ready[stream as usize * self.trips as usize + it as usize]);
+                let row = it as usize * self.streams.len();
+                at = at.max(self.clock.ready[row + stream as usize]);
             }
         }
         at
@@ -246,7 +246,7 @@ impl<'a> Walk<'a> {
     /// operation, unless the trip count is exhausted (ramp code beyond it,
     /// only possible when `trip_count < stages`, is predicated off).
     fn issue(&mut self, slot: Slot, at: u64, in_kernel: bool) -> Result<(), SimError> {
-        let (op, trips) = (slot.op as usize, self.trips as usize);
+        let op = slot.op as usize;
         let j = self.done[op];
         if j >= self.trips {
             return Ok(());
@@ -277,14 +277,18 @@ impl<'a> Walk<'a> {
         }
         let arity = ((slot.srcs.1 - slot.srcs.0) as usize).min(operands.len());
         let value = apply(slot.kind, &operands[..arity], j);
-        self.values[op * trips + j as usize] = value;
+        let row = j as usize * self.done.len();
+        if self.values.len() < row + self.done.len() {
+            self.values.resize(row + self.done.len(), 0);
+        }
+        self.values[row + op] = value;
         self.done[op] = j + 1;
         self.report.instances_executed += 1;
         self.report.useful_instances += u64::from(slot.kind.is_useful());
         if slot.kind == OpKind::Store {
             self.report.stores.push(StoreRecord { op: OpId(slot.op), iteration: j, value });
             if self.timed() && in_kernel {
-                self.store_times[op].push(at);
+                self.clock.store_times[op].push(at);
             }
         }
         let fanout = self.fanout_start[op] as usize..self.fanout_start[op + 1] as usize;
@@ -309,13 +313,17 @@ impl<'a> Walk<'a> {
                 let e = &self.streams[e as usize];
                 e.link != NONE && e.queue == stream.queue
             });
-            self.ready[s * trips + j as usize] = match shared {
+            let (clock, row) = (&mut self.clock, j as usize * self.streams.len());
+            if clock.ready.len() < row + self.streams.len() {
+                clock.ready.resize(row + self.streams.len(), 0);
+            }
+            clock.ready[row + s] = match shared {
                 _ if stream.link == NONE => at + 1,
-                Some(&e) => self.ready[e as usize * trips + j as usize],
+                Some(&e) => clock.ready[row + e as usize],
                 None => {
-                    let grant = self.bookings[stream.link as usize].acquire(at, stream.capacity);
-                    self.transfers += 1;
-                    self.serialized += u64::from(grant > at);
+                    let grant = clock.bookings[stream.link as usize].acquire(at, stream.capacity);
+                    clock.transfers += 1;
+                    clock.serialized += u64::from(grant > at);
                     grant + 1
                 }
             };
@@ -330,8 +338,9 @@ impl<'a> Walk<'a> {
     fn compile(&mut self, program: &VliwProgram, machine: &MachineConfig) -> Result<(), SimError> {
         let topology = machine.topology();
         let clusters = topology.len() as usize;
-        self.bookings =
-            vec![Booking::default(); if self.timed() { clusters * clusters } else { 0 }];
+        if self.timed() {
+            self.clock.bookings = vec![Booking::default(); clusters * clusters];
+        }
         let mut kernel_slot: Vec<Option<(u32, &CodeSlot)>> = vec![None; self.done.len()];
         let kernel_slots = program.kernel.iter().flat_map(|w| &w.slots);
         for (i, slot) in kernel_slots.clone().enumerate() {
@@ -451,8 +460,7 @@ pub fn run_program(
     let mut walk = Walk::new(ddg, trip_count, model, machine.cqrf_capacity);
     walk.compile(program, machine)?;
     if walk.timed() {
-        walk.ready = vec![0; walk.streams.len() * trip_count as usize];
-        walk.store_times = vec![Vec::new(); walk.done.len()];
+        walk.clock.store_times = vec![Vec::new(); walk.done.len()];
     }
     let stages = u64::from(program.stages.max(1));
     let kernel_repetitions = trip_count.saturating_sub(stages - 1);
@@ -469,18 +477,19 @@ pub fn run_program(
         walk.issue_word(w, false)?;
     }
 
-    let stall_cycles = walk.next_cycle - walk.words_issued;
+    let clock = &walk.clock;
+    let stall_cycles = clock.next_cycle - clock.words_issued;
     if stall_cycles > 0 {
         Telemetry::current().event(SchedEvent::LinkStall { cycles: stall_cycles });
     }
     let timing = ContentionReport {
         scheduled_ii: program.ii,
-        achieved_ii: measure_achieved_ii(&walk.store_times, program.ii),
-        cycles: walk.next_cycle,
-        ideal_cycles: walk.words_issued,
+        achieved_ii: measure_achieved_ii(&clock.store_times, program.ii),
+        cycles: clock.next_cycle,
+        ideal_cycles: clock.words_issued,
         stall_cycles,
-        transfers: walk.transfers,
-        serialized_transfers: walk.serialized,
+        transfers: clock.transfers,
+        serialized_transfers: clock.serialized,
     };
     let report = ProgramReport {
         cycles: if trip_count == 0 { 0 } else { (trip_count + stages - 1) * u64::from(program.ii) },
@@ -566,55 +575,5 @@ mod tests {
             let exec = execute_program(&p, &r.ddg, &m, trips).unwrap();
             assert_eq!(sorted(exec.stores), sorted(reference_trace(&l.ddg, trips)));
         }
-    }
-
-    #[test]
-    fn undersized_cqrf_reports_overflow_not_a_value_bug() {
-        // Find a schedule with real queue pressure (depth >= 2), then shrink
-        // the CQRFs to one register and execute *without* the allocate()
-        // capacity gate: the executor must report the overflow eagerly
-        // instead of dropping values and misdiagnosing a capacity problem as
-        // a store mismatch.
-        let mut exercised = false;
-        for l in [kernels::fir(16, 128), dms_ir::transform::unroll(&kernels::daxpy(512), 8)] {
-            let m = MachineConfig::paper_clustered(8);
-            let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-            let p = emit(&r, &m);
-            let depth = execute_program(&p, &r.ddg, &m, 64).unwrap().max_queue_depth;
-            if depth < 2 {
-                continue;
-            }
-            exercised = true;
-            let tight = MachineConfig::paper_clustered(8).with_cqrf_capacity(1);
-            assert!(
-                matches!(
-                    execute_program(&p, &r.ddg, &tight, 64),
-                    Err(SimError::QueueOverflow { .. })
-                ),
-                "{}: a depth-{depth} stream must overflow a 1-register CQRF",
-                l.name
-            );
-        }
-        assert!(exercised, "no candidate schedule had queue depth >= 2");
-    }
-
-    #[test]
-    fn mismatched_slot_arity_is_reported() {
-        let l = kernels::daxpy(16);
-        let m = MachineConfig::paper_clustered(2);
-        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        let mut p = emit(&r, &m);
-        // corrupt one kernel slot: drop an operand source
-        let slot = p
-            .kernel
-            .iter_mut()
-            .flat_map(|w| &mut w.slots)
-            .find(|s| s.sources.len() > 1)
-            .expect("daxpy has multi-operand slots");
-        slot.sources.pop();
-        assert!(matches!(
-            execute_program(&p, &r.ddg, &m, 8),
-            Err(SimError::MalformedProgram { .. })
-        ));
     }
 }

@@ -45,6 +45,7 @@ fn timing_never_changes_values_and_never_beats_the_schedule() {
                     let t = timed.timing;
                     assert_eq!(t.scheduled_ii, r.ii(), "{cell}");
                     assert!(t.achieved_ii >= t.scheduled_ii, "{cell}: {t:?}");
+                    assert!(t.cycles >= t.ideal_cycles, "{cell}: {t:?}");
                     assert_eq!(t.stall_cycles, t.cycles - t.ideal_cycles, "{cell}");
                     assert_eq!(ideal.timing.cycles, ideal.timing.ideal_cycles, "{cell}");
                     assert_eq!(ideal.timing.achieved_ii, ideal.timing.scheduled_ii, "{cell}");
