@@ -5,10 +5,9 @@
 //! sequence of stored values it produces is the ground truth the pipelined
 //! executor must reproduce.
 
-use crate::vliw::{Src, Walk};
+use crate::values::{apply, initial_value, invariant_value, live_in_value};
 use dms_ir::analysis::topological_order;
-use dms_ir::{Ddg, OpId};
-use dms_machine::TransferModel;
+use dms_ir::{Ddg, OpId, OpKind, Operand};
 use serde::{Deserialize, Serialize};
 
 /// One value written by a store operation.
@@ -25,24 +24,60 @@ pub struct StoreRecord {
 /// Executes `trip_count` iterations of the loop body sequentially and
 /// returns the trace of stored values, in (iteration, operation) order.
 ///
-/// The body runs on the program executor's dense state as one instruction
-/// word per iteration, every operand read through the local register file.
-///
 /// # Panics
 ///
 /// Panics if the intra-iteration dependence graph is cyclic (an invalid DDG).
 pub fn reference_trace(ddg: &Ddg, trip_count: u64) -> Vec<StoreRecord> {
     let order = topological_order(ddg).expect("reference interpreter needs an acyclic body");
-    let mut walk = Walk::new(ddg, trip_count, TransferModel::Unconstrained, 1);
-    let slots: Vec<u32> = order
-        .iter()
-        .map(|&op| walk.push_slot(op, ddg.op(op).reads.iter().map(Src::of_operand)))
-        .collect();
-    let body = walk.push_word(slots);
-    for _ in 0..trip_count {
-        walk.issue_word(body, false).expect("a body without CQRF streams cannot fail");
+    let mut history =
+        History { ops: ddg.num_slots(), values: Vec::new(), done: vec![0; ddg.num_slots()] };
+    let mut trace = Vec::new();
+
+    for i in 0..trip_count {
+        history.values.resize(history.values.len() + history.ops, 0);
+        for &op in &order {
+            let operation = ddg.op(op);
+            let mut operands = [0i64; 2];
+            for (slot, read) in operands.iter_mut().zip(&operation.reads) {
+                *slot = operand_value(ddg, read, i, &history);
+            }
+            let arity = operation.reads.len().min(operands.len());
+            let value = apply(operation.kind, &operands[..arity], i);
+            history.values[i as usize * history.ops + op.index()] = value;
+            history.done[op.index()] += 1;
+            if operation.kind == OpKind::Store {
+                trace.push(StoreRecord { op, iteration: i, value });
+            }
+        }
     }
-    walk.report.stores
+    trace
+}
+
+/// Every op's value in every executed iteration, one row per iteration.
+struct History {
+    ops: usize,
+    /// `values[i * ops + op]`: op's value in iteration `i`.
+    values: Vec<i64>,
+    /// Iterations each op has executed.
+    done: Vec<u64>,
+}
+
+fn operand_value(ddg: &Ddg, operand: &Operand, iteration: u64, history: &History) -> i64 {
+    match *operand {
+        Operand::Immediate(v) => v,
+        Operand::Invariant(k) => invariant_value(k),
+        Operand::Induction => iteration as i64,
+        Operand::Def { op, distance } => {
+            let wanted = iteration as i64 - distance as i64;
+            if wanted < 0 {
+                live_in_value(ddg, op, wanted)
+            } else if (wanted as u64) < history.done[op.index()] {
+                history.values[wanted as usize * history.ops + op.index()]
+            } else {
+                initial_value(op, wanted)
+            }
+        }
+    }
 }
 
 #[cfg(test)]

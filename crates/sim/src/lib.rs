@@ -15,8 +15,8 @@
 //!   behind that timing; [`contended_replay`] is the walk under the
 //!   machine's own model,
 //! * [`interp`] — the sequential reference interpreter of a loop DDG,
-//!   defining the semantics every correct schedule must reproduce; it runs
-//!   on the executor's dense state,
+//!   defining the semantics every correct schedule must reproduce, kept
+//!   separate from the executor it checks,
 //! * [`exec`] — [`simulate`]: checks a schedule can be lowered, emits it,
 //!   walks it and compares the stores against the reference,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →

@@ -66,7 +66,7 @@ const NONE: u32 = u32::MAX;
 
 /// An operand source, resolved once per program.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Src {
+enum Src {
     /// An immediate or a loop invariant.
     Const(i64),
     /// The loop induction variable.
@@ -78,7 +78,7 @@ pub(crate) enum Src {
 
 impl Src {
     /// The source of a DDG operand read through the local register file.
-    pub(crate) fn of_operand(operand: &Operand) -> Src {
+    fn of_operand(operand: &Operand) -> Src {
         match *operand {
             Operand::Immediate(v) => Src::Const(v),
             Operand::Invariant(k) => Src::Const(invariant_value(k)),
@@ -114,7 +114,7 @@ struct Stream {
 
 /// The state of one walk.
 #[derive(Debug)]
-pub(crate) struct Walk<'a> {
+struct Walk<'a> {
     ddg: &'a Ddg,
     trips: u64,
     model: TransferModel,
@@ -136,7 +136,7 @@ pub(crate) struct Walk<'a> {
     done: Vec<u64>,
     cqrf_capacity: u64,
     clock: Clock,
-    pub(crate) report: ProgramReport,
+    report: ProgramReport,
 }
 
 /// The timing state of a walk; the tables stay empty under
@@ -158,7 +158,7 @@ struct Clock {
 
 impl<'a> Walk<'a> {
     /// An empty walk of `trips` iterations of `ddg`'s operations.
-    pub(crate) fn new(ddg: &'a Ddg, trips: u64, model: TransferModel, cqrf_capacity: u32) -> Self {
+    fn new(ddg: &'a Ddg, trips: u64, model: TransferModel, cqrf_capacity: u32) -> Self {
         let ops = ddg.num_slots();
         Walk {
             ddg,
@@ -183,25 +183,15 @@ impl<'a> Walk<'a> {
         self.model != TransferModel::Unconstrained
     }
 
-    /// Compiles a slot of `op` reading `srcs`; returns its index.
-    pub(crate) fn push_slot(&mut self, op: OpId, srcs: impl IntoIterator<Item = Src>) -> u32 {
-        let first = self.srcs.len() as u32;
-        self.srcs.extend(srcs);
-        let kind = self.ddg.op(op).kind;
-        self.slots.push(Slot { op: op.0, kind, srcs: (first, self.srcs.len() as u32) });
-        self.slots.len() as u32 - 1
-    }
-
-    /// Appends a word issuing the given slots; returns its index.
-    pub(crate) fn push_word(&mut self, slots: impl IntoIterator<Item = u32>) -> usize {
+    /// Appends a word issuing the given slots (indices into `slots`).
+    fn push_word(&mut self, slots: impl IntoIterator<Item = u32>) {
         let start = self.word_slots.len() as u32;
         self.word_slots.extend(slots);
         self.words.push((start, self.word_slots.len() as u32));
-        self.words.len() - 1
     }
 
     /// Issues word `w` at the first cycle its operands allow.
-    pub(crate) fn issue_word(&mut self, w: usize, in_kernel: bool) -> Result<(), SimError> {
+    fn issue_word(&mut self, w: usize, in_kernel: bool) -> Result<(), SimError> {
         let (start, end) = self.words[w];
         let mut at = self.clock.next_cycle;
         if self.timed() {
@@ -357,10 +347,10 @@ impl<'a> Walk<'a> {
                     operation.reads.len()
                 )));
             }
-            let mut srcs = Vec::with_capacity(slot.sources.len());
+            let first = self.srcs.len() as u32;
             for (idx, (source, read)) in slot.sources.iter().zip(&operation.reads).enumerate() {
                 let writer = |p: OpId| kernel_slot[p.index()].map(|(_, k)| k.cluster);
-                srcs.push(match (source, read.producer()) {
+                let src = match (source, read.producer()) {
                     (&OperandSource::Immediate(v), _) => Src::Const(v),
                     (&OperandSource::Invariant(k), _) => Src::Const(invariant_value(k)),
                     (OperandSource::Induction, _) => Src::Induction,
@@ -400,9 +390,11 @@ impl<'a> Walk<'a> {
                             "operand {idx} names {source}, which is not the value it reads"
                         )))
                     }
-                });
+                };
+                self.srcs.push(src);
             }
-            self.push_slot(slot.op, srcs);
+            let srcs = (first, self.srcs.len() as u32);
+            self.slots.push(Slot { op: slot.op.0, kind: operation.kind, srcs });
         }
         for word in &program.kernel {
             let start = self.word_slots.len() as u32;
