@@ -18,11 +18,10 @@ use crate::state::SchedulerState;
 use dms_ir::{DepEdge, OpId};
 use dms_machine::{ClusterId, FuKind, TopoPath};
 use dms_sched::schedule::dependence_bound;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How strategy 2 chooses between the alternative topology paths of a chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChainPolicy {
     /// The paper's policy: among the feasible options, pick the one that
     /// maximises the number of Copy-unit slots left free in the most loaded

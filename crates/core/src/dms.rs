@@ -14,10 +14,9 @@ use dms_sched::schedule::{SchedStats, Schedule, ScheduleError, ScheduleResult};
 use dms_sched::strategy::SchedulerStrategy;
 use dms_telemetry::{SchedEvent, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// When to apply the single-use (copy-insertion) lifetime conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SingleUsePolicy {
     /// Apply it only when the target machine has more than one cluster (the
     /// paper's setting: the conversion exists because of the single-read
@@ -31,7 +30,7 @@ pub enum SingleUsePolicy {
 }
 
 /// How DMS uses the incremental queue-register-pressure estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PressureMode {
     /// The default: pressure breaks placement ties towards unsaturated
     /// queues, and a schedule whose final pressure exceeds any LRF/CQRF
@@ -69,7 +68,7 @@ pub enum PressureMode {
 /// assert!(out.ii() <= out.baseline_ii);
 /// assert!(out.ii() >= out.stats.mii.unwrap().mii());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DmsConfig {
     /// Scheduling budget per candidate II, as a multiple of the number of
     /// operations.

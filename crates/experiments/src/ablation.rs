@@ -13,10 +13,9 @@ use crate::fig4::{figure4, Fig4Row};
 use crate::runner::{measure_loops, ExperimentConfig};
 use dms_core::{ChainPolicy, DmsConfig};
 use dms_workloads::generate;
-use serde::{Deserialize, Serialize};
 
 /// Figure-4-style rows for two variants of the same configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationResult {
     /// Human-readable name of the varied parameter.
     pub name: String,

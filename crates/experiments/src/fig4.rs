@@ -8,10 +8,9 @@
 //! unit saturation.
 
 use crate::runner::LoopMeasurement;
-use serde::{Deserialize, Serialize};
 
 /// One bar of figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Row {
     /// Number of clusters.
     pub clusters: u32,

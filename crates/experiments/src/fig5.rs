@@ -9,10 +9,9 @@
 //! relative plot.
 
 use crate::runner::LoopMeasurement;
-use serde::{Deserialize, Serialize};
 
 /// One x-position (functional-unit count) of figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Row {
     /// Number of clusters of the clustered machine.
     pub clusters: u32,

@@ -7,10 +7,9 @@
 //! `(trip + stages - 1) * II` cycle model.
 
 use crate::runner::LoopMeasurement;
-use serde::{Deserialize, Serialize};
 
 /// One x-position (functional-unit count) of figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Row {
     /// Number of clusters of the clustered machine.
     pub clusters: u32,

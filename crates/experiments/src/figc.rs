@@ -15,23 +15,12 @@
 //! the same full connectivity), and figure C answers whether the shared
 //! medium keeps that promise once transfers serialise.
 
-use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
+use crate::figt::{mean, percent, topology_grid, GridOutput};
+use crate::runner::{ExperimentConfig, LoopMeasurement};
 use dms_machine::TopologyKind;
-use serde::{Deserialize, Serialize};
-
-/// The interconnects figure C replays (the figure-T set).
-pub const FIGC_TOPOLOGIES: [TopologyKind; 4] = [
-    TopologyKind::Ring,
-    TopologyKind::ChordalRing { chord: 2 },
-    TopologyKind::Bus,
-    TopologyKind::Crossbar,
-];
-
-/// The cluster counts figure C evaluates.
-pub const FIGC_CLUSTERS: [u32; 3] = [2, 4, 8];
 
 /// One (topology, cluster count) aggregate of figure C.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigCRow {
     /// CSV label of the interconnect.
     pub topology: String,
@@ -57,41 +46,20 @@ pub struct FigCRow {
     pub verified_stores: u64,
 }
 
-/// Aggregates one topology's sweep into per-cluster-count rows.
-fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigCRow> {
-    clusters
-        .iter()
-        .map(|&c| {
-            let of_c: Vec<&LoopMeasurement> = rows.iter().filter(|m| m.clusters == c).collect();
-            let n = of_c.len();
-            let pct = |count: usize| if n == 0 { 0.0 } else { 100.0 * count as f64 / n as f64 };
-            let slowdown = |m: &LoopMeasurement| m.achieved_ii as f64 / m.clustered_ii as f64 - 1.0;
-            FigCRow {
-                topology: topology.label(),
-                clusters: c,
-                loops: n,
-                percent_no_overhead_scheduled: pct(of_c
-                    .iter()
-                    .filter(|m| !m.ii_increased())
-                    .count()),
-                percent_no_overhead_achieved: pct(of_c
-                    .iter()
-                    .filter(|m| m.achieved_ii <= m.unclustered_ii)
-                    .count()),
-                percent_contended: pct(of_c
-                    .iter()
-                    .filter(|m| m.achieved_ii > m.clustered_ii)
-                    .count()),
-                mean_slowdown: if n == 0 {
-                    0.0
-                } else {
-                    of_c.iter().map(|m| slowdown(m)).sum::<f64>() / n as f64
-                },
-                max_slowdown: of_c.iter().map(|m| slowdown(m)).fold(0.0, f64::max),
-                verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
-            }
-        })
-        .collect()
+/// Aggregates one (topology, cluster count) cell of figure C.
+fn aggregate(topology: &TopologyKind, clusters: u32, cell: &[&LoopMeasurement]) -> FigCRow {
+    let slowdown = |m: &LoopMeasurement| m.achieved_ii as f64 / m.clustered_ii as f64 - 1.0;
+    FigCRow {
+        topology: topology.label(),
+        clusters,
+        loops: cell.len(),
+        percent_no_overhead_scheduled: percent(cell, |m| !m.ii_increased()),
+        percent_no_overhead_achieved: percent(cell, |m| m.achieved_ii <= m.unclustered_ii),
+        percent_contended: percent(cell, |m| m.achieved_ii > m.clustered_ii),
+        mean_slowdown: mean(cell, slowdown),
+        max_slowdown: cell.iter().map(|m| slowdown(m)).fold(0.0, f64::max),
+        verified_stores: cell.iter().map(|m| m.verified_stores).sum(),
+    }
 }
 
 /// Runs the figure-C sweep: the configured suite on every requested
@@ -99,37 +67,24 @@ fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]
 /// verification *and* contention replay forced on. Returns the aggregate
 /// rows, the raw per-(loop, cluster-count) measurements in sweep order
 /// (their `achieved_ii` column is what the nightly CI gate scans), and one
-/// [`SweepStats`] per topology (whose `failed` counts gate the CLI exit
-/// code).
-pub fn figure_c(
-    config: &ExperimentConfig,
-    topologies: &[TopologyKind],
-) -> (Vec<FigCRow>, Vec<LoopMeasurement>, Vec<(TopologyKind, SweepStats)>) {
-    let mut rows = Vec::new();
-    let mut raw = Vec::new();
-    let mut stats = Vec::new();
-    for &kind in topologies {
-        let cfg =
-            ExperimentConfig { topology: kind, verify: true, contention: true, ..config.clone() };
-        let (measurements, s) = measure_suite_with_stats(&cfg);
-        rows.extend(aggregate(&kind, &measurements, &cfg.cluster_counts));
-        raw.extend(measurements);
-        stats.push((kind, s));
-    }
-    (rows, raw, stats)
+/// [`SweepStats`](crate::SweepStats) per topology (whose `failed` counts
+/// gate the CLI exit code).
+pub fn figure_c(config: &ExperimentConfig, topologies: &[TopologyKind]) -> GridOutput<FigCRow> {
+    topology_grid(config, topologies, true, aggregate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figt::{FIGT_CLUSTERS, FIGT_TOPOLOGIES};
 
     #[test]
     fn figure_c_covers_every_topology_and_cluster_count() {
         let mut cfg = ExperimentConfig::quick(6);
-        cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
-        let (rows, raw, stats) = figure_c(&cfg, &FIGC_TOPOLOGIES);
-        assert_eq!(rows.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len());
-        assert_eq!(raw.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len() * 6);
+        cfg.cluster_counts = FIGT_CLUSTERS.to_vec();
+        let (rows, raw, stats) = figure_c(&cfg, &FIGT_TOPOLOGIES);
+        assert_eq!(rows.len(), FIGT_TOPOLOGIES.len() * FIGT_CLUSTERS.len());
+        assert_eq!(raw.len(), FIGT_TOPOLOGIES.len() * FIGT_CLUSTERS.len() * 6);
         for (kind, s) in &stats {
             assert_eq!(s.failed, 0, "{kind}: figure C must verify every schedule");
             assert!(s.stores_verified > 0, "{kind}: verification is forced on");
@@ -150,7 +105,7 @@ mod tests {
     fn replay_never_beats_the_schedule_and_crossbars_never_stall() {
         let mut cfg = ExperimentConfig::quick(8);
         cfg.cluster_counts = vec![8];
-        let (rows, raw, _) = figure_c(&cfg, &FIGC_TOPOLOGIES);
+        let (rows, raw, _) = figure_c(&cfg, &FIGT_TOPOLOGIES);
         for m in &raw {
             assert!(
                 m.achieved_ii >= m.clustered_ii,

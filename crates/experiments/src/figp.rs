@@ -16,13 +16,12 @@
 use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
 use dms_core::SchedulerStrategy;
 use dms_sched::DEFAULT_PORTFOLIO_CANDIDATES;
-use serde::{Deserialize, Serialize};
 
 /// The cluster counts figure P evaluates (figure T's, for comparability).
 pub const FIGP_CLUSTERS: [u32; 3] = [2, 4, 8];
 
 /// One per-cluster-count aggregate of figure P.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigPRow {
     /// CSV label of the strategy that produced the winning schedules.
     pub strategy: String,

@@ -14,9 +14,8 @@
 
 use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
 use dms_machine::TopologyKind;
-use serde::{Deserialize, Serialize};
 
-/// The interconnects figure T compares.
+/// The interconnects figures T and C compare.
 pub const FIGT_TOPOLOGIES: [TopologyKind; 4] = [
     TopologyKind::Ring,
     TopologyKind::ChordalRing { chord: 2 },
@@ -24,11 +23,11 @@ pub const FIGT_TOPOLOGIES: [TopologyKind; 4] = [
     TopologyKind::Crossbar,
 ];
 
-/// The cluster counts figure T evaluates.
+/// The cluster counts figures T and C evaluate.
 pub const FIGT_CLUSTERS: [u32; 3] = [2, 4, 8];
 
 /// One (topology, cluster count) aggregate of figure T.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigTRow {
     /// CSV label of the interconnect.
     pub topology: String,
@@ -51,43 +50,65 @@ pub struct FigTRow {
     pub verified_stores: u64,
 }
 
-/// Aggregates one topology's sweep into per-cluster-count rows.
-fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigTRow> {
-    clusters
-        .iter()
-        .map(|&c| {
-            let of_c: Vec<&LoopMeasurement> = rows.iter().filter(|m| m.clusters == c).collect();
-            let n = of_c.len();
-            let no_overhead = of_c.iter().filter(|m| !m.ii_increased()).count();
-            let mean_overhead = if n == 0 {
-                0.0
-            } else {
-                of_c.iter()
-                    .map(|m| m.clustered_ii as f64 / m.unclustered_ii as f64 - 1.0)
-                    .sum::<f64>()
-                    / n as f64
-            };
-            let mean_moves = if n == 0 {
-                0.0
-            } else {
-                of_c.iter().map(|m| m.moves as f64).sum::<f64>() / n as f64
-            };
-            FigTRow {
-                topology: topology.label(),
-                clusters: c,
-                loops: n,
-                percent_no_overhead: if n == 0 {
-                    0.0
-                } else {
-                    100.0 * no_overhead as f64 / n as f64
-                },
-                mean_overhead,
-                mean_moves,
-                pressure_retries: of_c.iter().map(|m| m.pressure_retries as u64).sum(),
-                verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
-            }
-        })
-        .collect()
+/// What [`topology_grid`] returns: one aggregate row per (topology,
+/// cluster count), the raw measurements in sweep order, and one
+/// [`SweepStats`] per topology (whose `failed` counts gate the CLI exit
+/// code).
+pub(crate) type GridOutput<R> = (Vec<R>, Vec<LoopMeasurement>, Vec<(TopologyKind, SweepStats)>);
+
+/// The grid figures T and C share: the configured suite on each of
+/// `topologies` at the configured cluster counts, with verification forced
+/// on and contention replay on iff `contention`. `row` aggregates the
+/// measurements of one (topology, cluster count) cell.
+pub(crate) fn topology_grid<R>(
+    config: &ExperimentConfig,
+    topologies: &[TopologyKind],
+    contention: bool,
+    row: impl Fn(&TopologyKind, u32, &[&LoopMeasurement]) -> R,
+) -> GridOutput<R> {
+    let mut rows = Vec::new();
+    let mut raw = Vec::new();
+    let mut stats = Vec::new();
+    for &kind in topologies {
+        let cfg = ExperimentConfig { topology: kind, verify: true, contention, ..config.clone() };
+        let (measurements, s) = measure_suite_with_stats(&cfg);
+        for &c in &cfg.cluster_counts {
+            let cell: Vec<&LoopMeasurement> =
+                measurements.iter().filter(|m| m.clusters == c).collect();
+            rows.push(row(&kind, c, &cell));
+        }
+        raw.extend(measurements);
+        stats.push((kind, s));
+    }
+    (rows, raw, stats)
+}
+
+/// Percentage of a cell's loops for which `keep` holds (0 when empty).
+pub(crate) fn percent(cell: &[&LoopMeasurement], keep: impl Fn(&LoopMeasurement) -> bool) -> f64 {
+    mean(cell, |m| if keep(m) { 100.0 } else { 0.0 })
+}
+
+/// Mean of `f` over a cell's loops (0 when empty).
+pub(crate) fn mean(cell: &[&LoopMeasurement], f: impl Fn(&LoopMeasurement) -> f64) -> f64 {
+    if cell.is_empty() {
+        0.0
+    } else {
+        cell.iter().map(|m| f(m)).sum::<f64>() / cell.len() as f64
+    }
+}
+
+/// Aggregates one (topology, cluster count) cell of figure T.
+fn aggregate(topology: &TopologyKind, clusters: u32, cell: &[&LoopMeasurement]) -> FigTRow {
+    FigTRow {
+        topology: topology.label(),
+        clusters,
+        loops: cell.len(),
+        percent_no_overhead: percent(cell, |m| !m.ii_increased()),
+        mean_overhead: mean(cell, |m| m.clustered_ii as f64 / m.unclustered_ii as f64 - 1.0),
+        mean_moves: mean(cell, |m| m.moves as f64),
+        pressure_retries: cell.iter().map(|m| m.pressure_retries as u64).sum(),
+        verified_stores: cell.iter().map(|m| m.verified_stores).sum(),
+    }
 }
 
 /// Runs the figure-T sweep: the configured suite on every
@@ -96,14 +117,7 @@ fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]
 /// [`SweepStats`] per topology (whose `failed` counts gate the CLI exit
 /// code).
 pub fn figure_t(config: &ExperimentConfig) -> (Vec<FigTRow>, Vec<(TopologyKind, SweepStats)>) {
-    let mut rows = Vec::new();
-    let mut stats = Vec::new();
-    for kind in FIGT_TOPOLOGIES {
-        let cfg = ExperimentConfig { topology: kind, verify: true, ..config.clone() };
-        let (measurements, s) = measure_suite_with_stats(&cfg);
-        rows.extend(aggregate(&kind, &measurements, &cfg.cluster_counts));
-        stats.push((kind, s));
-    }
+    let (rows, _, stats) = topology_grid(config, &FIGT_TOPOLOGIES, config.contention, aggregate);
     (rows, stats)
 }
 
@@ -137,8 +151,15 @@ mod tests {
                 ..ExperimentConfig::quick(6)
             }
         };
-        let (ring_rows, _) = crate::runner::measure_suite_with_stats(&ring_cfg);
-        let direct = aggregate(&TopologyKind::Ring, &ring_rows, &ring_cfg.cluster_counts);
+        let (ring_rows, _) = measure_suite_with_stats(&ring_cfg);
+        let direct: Vec<FigTRow> = FIGT_CLUSTERS
+            .iter()
+            .map(|&c| {
+                let cell: Vec<&LoopMeasurement> =
+                    ring_rows.iter().filter(|m| m.clusters == c).collect();
+                aggregate(&TopologyKind::Ring, c, &cell)
+            })
+            .collect();
         assert_eq!(&rows[..FIGT_CLUSTERS.len()], &direct[..]);
     }
 

@@ -47,7 +47,7 @@ pub use dms_service::ScheduleService;
 pub use fig4::{figure4, Fig4Row};
 pub use fig5::{figure5, Fig5Row};
 pub use fig6::{figure6, Fig6Row};
-pub use figc::{figure_c, FigCRow, FIGC_CLUSTERS, FIGC_TOPOLOGIES};
+pub use figc::{figure_c, FigCRow};
 pub use figp::{figure_p, FigPRow, FIGP_CLUSTERS};
 pub use figt::{figure_t, FigTRow, FIGT_CLUSTERS, FIGT_TOPOLOGIES};
 pub use runner::{

@@ -52,7 +52,7 @@ use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation};
 use dms_experiments::report;
 use dms_experiments::{
     figure4, figure5, figure6, figure_c, figure_p, figure_t, measure_suite_with_stats_on,
-    ExperimentConfig, FIGC_CLUSTERS, FIGC_TOPOLOGIES, FIGP_CLUSTERS, FIGT_CLUSTERS,
+    ExperimentConfig, FIGP_CLUSTERS, FIGT_CLUSTERS, FIGT_TOPOLOGIES,
 };
 use dms_machine::TopologyKind;
 use dms_sched::SchedulerStrategy;
@@ -155,21 +155,20 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    // Figure T compares topologies at the paper's 2/4/8-cluster points
-    // unless the user picked an explicit grid — and always sweeps all four
-    // interconnects, so a --topology override would be silently ignored.
-    if command == Command::FigT {
-        if topology_arg.is_some() {
-            return Err("figT sweeps every topology; --topology does not apply".to_string());
-        }
-        if !clusters_given {
-            config.cluster_counts = FIGT_CLUSTERS.to_vec();
-        }
+    // Figure T always sweeps all four interconnects, so a --topology
+    // override would be silently ignored.
+    if command == Command::FigT && topology_arg.is_some() {
+        return Err("figT sweeps every topology; --topology does not apply".to_string());
     }
-    // Figure C replays the same four interconnects at the same cluster
-    // points; a --topology comma list narrows the sweep (CI smoke runs
-    // `--topology bus,crossbar`). Other commands take exactly one.
-    let mut figc_topologies = FIGC_TOPOLOGIES.to_vec();
+    // Figures T and C compare topologies at the paper's 2/4/8-cluster
+    // points unless the user picked an explicit grid.
+    if matches!(command, Command::FigT | Command::FigC) && !clusters_given {
+        config.cluster_counts = FIGT_CLUSTERS.to_vec();
+    }
+    // Figure C replays the same four interconnects; a --topology comma
+    // list narrows the sweep (CI smoke runs `--topology bus,crossbar`).
+    // Other commands take exactly one.
+    let mut figc_topologies = FIGT_TOPOLOGIES.to_vec();
     if let Some(v) = &topology_arg {
         if command == Command::FigC {
             figc_topologies = v
@@ -184,9 +183,6 @@ fn parse_args() -> Result<Cli, String> {
         } else {
             config.topology = TopologyKind::parse(v)?;
         }
-    }
-    if command == Command::FigC && !clusters_given {
-        config.cluster_counts = FIGC_CLUSTERS.to_vec();
     }
     // Figure P compares the portfolio against its embedded baseline at the
     // same 2/4/8-cluster points unless the user picked an explicit grid.

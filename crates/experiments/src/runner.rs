@@ -31,11 +31,10 @@ use dms_core::DmsConfig;
 use dms_machine::{MachineConfig, TopologyKind};
 use dms_service::{run_indexed, ScheduleRequest, ScheduleService, SchedulerKind};
 use dms_workloads::{generate, SuiteConfig, SuiteLoop, UnrollPolicy};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Parameters of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Suite to generate (the paper uses 1258 loops).
     pub suite: SuiteConfig,
@@ -114,7 +113,7 @@ impl Default for ExperimentConfig {
 
 /// One loop scheduled on one cluster count, on both the clustered machine
 /// (DMS) and the equivalent unclustered machine (IMS).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopMeasurement {
     /// Suite index of the loop.
     pub loop_id: usize,
@@ -203,7 +202,7 @@ impl LoopMeasurement {
 
 /// Aggregate throughput of one sweep, reported by the `_with_stats` entry
 /// points and printed by the CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepStats {
     /// (loop, cluster-count) tasks in the grid.
     pub tasks: usize,

@@ -10,11 +10,12 @@
 //! is permuted) hash identically; changing any op kind, operand, edge
 //! endpoint, latency or iteration distance changes the hash.
 //!
-//! That invariance is what makes the hash usable as a *content address* for
-//! schedule caching (the `dms-service` crate): a cached schedule keyed by
-//! the canonical hash is valid for every isomorphic body, because the
-//! scheduler's constraints (dependences, latencies, distances, resource
-//! classes) are exactly the hashed structure.
+//! The hash identifies a body's scheduling constraints (dependences,
+//! latencies, distances, resource classes) up to renaming. It is not the
+//! schedule cache's key: `dms-service` keys on the exact body, because
+//! name-seeded and id-ordered tie-breaks can schedule isomorphic bodies
+//! differently. Its callers are the property tests (`tests/properties.rs`),
+//! the wire round-trip tests and the benchmark's traced run.
 //!
 //! The construction is Weisfeiler–Leman-style label refinement:
 //!

@@ -10,11 +10,10 @@
 //! that [`OpId`]s and [`EdgeId`]s remain stable.
 
 use crate::op::{OpId, OpKind, Operand, Operation};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of a data dependence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// True (read-after-write) dependence: the consumer reads the value the
     /// producer computes. Only flow dependences transfer values through the
@@ -39,7 +38,7 @@ impl DepKind {
 }
 
 /// Identifier of a dependence edge inside a [`Ddg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -51,7 +50,7 @@ impl EdgeId {
 }
 
 /// A dependence edge of the DDG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DepEdge {
     /// Source (producer) operation.
     pub src: OpId,
@@ -83,7 +82,7 @@ impl fmt::Display for DepEdge {
 }
 
 /// The data-dependence graph of one loop-body iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct Ddg {
     ops: Vec<Option<Operation>>,
     edges: Vec<Option<DepEdge>>,

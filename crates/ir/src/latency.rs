@@ -6,14 +6,13 @@
 //! literature the paper builds on (Rau; Llosa et al.).
 
 use crate::op::OpKind;
-use serde::{Deserialize, Serialize};
 
 /// Latency (in cycles) of each operation class.
 ///
 /// The latency of an operation is the number of cycles between its issue and
 /// the first cycle in which a dependent operation may issue. A latency of 1
 /// means a dependent operation can issue in the next cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencySpec {
     /// Memory load latency.
     pub load: u32,

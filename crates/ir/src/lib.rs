@@ -9,8 +9,8 @@
 //! * a convenient [`LoopBuilder`] for writing loop bodies by hand,
 //! * graph analyses (strongly connected components, recurrence detection,
 //!   critical-path metrics) in [`analysis`],
-//! * an isomorphism-invariant content hash of a DDG ([`canon`]) — the
-//!   content address the `dms-service` schedule cache keys on,
+//! * an isomorphism-invariant content hash of a DDG ([`canon`]), which
+//!   identifies a body up to renaming and reordering,
 //! * the DDG transformations required by the paper: loop [`transform::unroll`]
 //!   and the single-use lifetime conversion
 //!   [`transform::convert_to_single_use`],
@@ -53,7 +53,7 @@ pub use op::{OpId, OpKind, Operand, Operation};
 
 /// An innermost loop ready to be modulo scheduled: a named [`Ddg`] plus the
 /// trip count used by the dynamic (cycle/IPC) experiments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Loop {
     /// Human-readable name (kernel name or synthetic suite identifier).
     pub name: String,

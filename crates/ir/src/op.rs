@@ -6,7 +6,6 @@
 //! loop-invariant input, an immediate constant, or the loop induction
 //! variable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operation inside a [`crate::Ddg`].
@@ -14,7 +13,7 @@ use std::fmt;
 /// Identifiers are dense indices assigned in insertion order and remain
 /// stable when other operations are removed (removed operations become
 /// tombstones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u32);
 
 impl OpId {
@@ -37,7 +36,7 @@ impl fmt::Display for OpId {
 /// cluster — Load/Store, Add and Mul — plus one Copy unit that executes the
 /// `Copy` (single-use lifetime conversion) and `Move` (inter-cluster chain)
 /// operations. Division is mapped onto the Mul unit with a longer latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Memory load (executes on the Load/Store unit).
     Load,
@@ -101,7 +100,7 @@ impl fmt::Display for OpKind {
 }
 
 /// A value read by an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// The result of operation `op`, produced `distance` iterations earlier
     /// (0 = same iteration). A non-zero distance creates a loop-carried
@@ -150,7 +149,7 @@ impl From<OpId> for Operand {
 }
 
 /// A single operation of the loop body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Operation {
     /// What the operation does (and which functional unit class it needs).
     pub kind: OpKind,

@@ -3,10 +3,9 @@
 use crate::fu::FuKind;
 use crate::topology::{ClusterId, Topology, TopologyKind};
 use dms_ir::{LatencySpec, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Functional units available in one cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClusterFus {
     /// Number of Load/Store units.
     pub load_store: u32,
@@ -71,7 +70,7 @@ impl Default for ClusterFus {
 /// assert!(clustered.is_clustered());
 /// assert!(!unclustered.is_clustered());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
     clusters: Vec<ClusterFus>,
     latency: LatencySpec,

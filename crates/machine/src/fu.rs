@@ -1,7 +1,6 @@
 //! Functional-unit classes and the mapping from operations to units.
 
 use dms_ir::OpKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The functional-unit classes of the paper's machine model.
@@ -11,7 +10,7 @@ use std::fmt;
 /// `copy` and `move` operations introduced by the single-use transformation
 /// and by DMS chains. Copy units "do not perform any useful computation" and
 /// are excluded from the FU counts reported in the figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FuKind {
     /// Memory unit: executes loads and stores.
     LoadStore,

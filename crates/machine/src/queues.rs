@@ -20,7 +20,6 @@
 //! [`Topology::queue_files`]: crate::topology::Topology::queue_files
 
 use crate::topology::ClusterId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -28,7 +27,7 @@ use std::fmt;
 /// `writer`, read by `reader`. On a bus topology the single shared output
 /// queue of cluster `w` is identified by `writer == reader == w` (every
 /// other cluster reads it; `w` itself keeps its values in the LRF).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CqrfId {
     /// The cluster with write-only access.
     pub writer: ClusterId,

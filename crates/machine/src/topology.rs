@@ -35,11 +35,10 @@
 //! **communication conflict**.
 
 use crate::queues::CqrfId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a cluster (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
 
 impl ClusterId {
@@ -57,7 +56,7 @@ impl fmt::Display for ClusterId {
 }
 
 /// The interconnect family of a machine, independent of its cluster count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// The paper's bi-directional ring.
     #[default]
@@ -118,7 +117,7 @@ impl TopologyKind {
 /// deliberately mirror the three bandwidth regimes of the figT topology
 /// sweep: a dedicated path per pair (crossbar), a single shared medium
 /// (bus) and point-to-point links (ring / chordal ring).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferModel {
     /// Every (writer, reader) pair has a dedicated path: transfers never
     /// wait for bandwidth.
@@ -150,7 +149,7 @@ impl fmt::Display for TopologyKind {
 /// A simple path from one cluster to another, including both endpoints. The
 /// clusters strictly between the endpoints are the ones that must host
 /// `move` operations of a DMS chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoPath {
     /// The clusters visited, starting at the source and ending at the
     /// destination.
@@ -182,7 +181,7 @@ impl TopoPath {
 /// [`paths`](Topology::paths), [`queue_between`](Topology::queue_between),
 /// [`queue_files`](Topology::queue_files)); no consumer may assume ring
 /// geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     kind: TopologyKind,
     clusters: u32,

@@ -12,11 +12,10 @@
 use dms_ir::{OpId, OpKind, Operand};
 use dms_machine::{ClusterId, CqrfId, FuKind, MachineConfig};
 use dms_sched::schedule::ScheduleResult;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where an operand value comes from, as seen by the emitted code.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OperandSource {
     /// An immediate constant.
     Immediate(i64),
@@ -52,7 +51,7 @@ impl fmt::Display for OperandSource {
 }
 
 /// One operation slot of an instruction word.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeSlot {
     /// The operation occupying the slot.
     pub op: OpId,
@@ -88,7 +87,7 @@ impl fmt::Display for CodeSlot {
 }
 
 /// One VLIW instruction word: everything issued in one cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InstructionWord {
     /// The operation slots issued this cycle, ordered by cluster then unit.
     pub slots: Vec<CodeSlot>,
@@ -102,7 +101,7 @@ impl InstructionWord {
 }
 
 /// The emitted software-pipelined loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VliwProgram {
     /// Initiation interval of the kernel.
     pub ii: u32,

@@ -4,7 +4,6 @@ use crate::lifetime::{lifetimes, max_live, Lifetime, LifetimeClass};
 use dms_machine::{CqrfId, MachineConfig, Topology};
 use dms_sched::schedule::ScheduleResult;
 use dms_sched::QueuePressure;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -48,7 +47,7 @@ impl std::error::Error for AllocError {}
 
 /// The outcome of allocating every lifetime of a scheduled loop to queue
 /// register files.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegAllocResult {
     /// Registers required in the LRF of each cluster (indexed by cluster id).
     pub lrf_registers: Vec<u32>,

@@ -13,11 +13,10 @@ use crate::schedule::ScheduleError;
 use dms_ir::analysis::sccs;
 use dms_ir::{Ddg, OpId};
 use dms_machine::{FuKind, MachineConfig};
-use serde::{Deserialize, Serialize};
 
 /// The two components of the MII, kept separate so experiments can report
 /// which bound dominates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MiiBreakdown {
     /// Resource-constrained lower bound.
     pub res_mii: u32,

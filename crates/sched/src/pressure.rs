@@ -24,11 +24,10 @@
 use crate::schedule::{Schedule, ScheduleResult, ScheduledOp};
 use dms_ir::{Ddg, DepEdge, OpId};
 use dms_machine::{ClusterId, CqrfId, MachineConfig, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Where a lifetime lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LifetimeClass {
     /// Producer and consumer are in the same cluster: the value goes through
     /// that cluster's LRF.
@@ -73,7 +72,7 @@ impl LifetimeClass {
 
 /// One value-carrying dependence of the scheduled loop, annotated with its
 /// placement-derived properties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lifetime {
     /// Producing operation.
     pub producer: OpId,
@@ -170,7 +169,7 @@ pub fn max_live(lifetimes: &[Lifetime], ii: u32) -> u32 {
 }
 
 /// A queue file whose register requirement exceeds its capacity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapacityExcess {
     /// Human-readable name of the queue file.
     pub queue: String,
@@ -191,7 +190,7 @@ pub struct CapacityExcess {
 /// by displacement — are tallied in a separate [`conflict
 /// depth`](QueuePressure::conflict_depth) bucket so add/remove stay balanced
 /// while a conflict is in flight.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuePressure {
     /// Depth sum per LRF, indexed by cluster id.
     lrf: Vec<u32>,

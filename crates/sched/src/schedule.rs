@@ -3,7 +3,6 @@
 
 use dms_ir::{Ddg, OpId};
 use dms_machine::{ClusterId, FuKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::mii::MiiBreakdown;
@@ -39,7 +38,7 @@ pub fn earliest_start(ddg: &Ddg, schedule: &Schedule, op: OpId, ii: u32) -> u32 
 }
 
 /// Placement of one operation in the modulo schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledOp {
     /// Absolute issue time within the flat (single-iteration) schedule.
     pub time: u32,
@@ -60,7 +59,7 @@ impl ScheduledOp {
 }
 
 /// A complete modulo schedule of one loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     ii: u32,
     ops: Vec<Option<ScheduledOp>>,
@@ -152,7 +151,7 @@ impl Schedule {
 }
 
 /// Statistics gathered while scheduling one loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedStats {
     /// Lower bounds on the II for this loop/machine pair.
     pub mii: Option<MiiBreakdown>,
@@ -234,7 +233,7 @@ impl ScheduleResult {
 /// The flat, serialization-friendly projection of a [`ScheduleResult`] —
 /// the outcome surface the `dms-service` wire protocol reports. See
 /// [`ScheduleResult::summary`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleSummary {
     /// Name of the scheduled loop.
     pub loop_name: String,

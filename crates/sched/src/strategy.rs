@@ -23,7 +23,6 @@
 //! seeded from the loop name and the candidate index, never from global
 //! state, so sweeps stay byte-reproducible for any worker count.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Exploit probability (in percent) used when a portfolio strategy is
@@ -56,7 +55,7 @@ pub const DEFAULT_PORTFOLIO_CANDIDATES: u32 = 8;
 /// assert_eq!(SchedulerStrategy::parse(&p.label()).unwrap(), p);
 /// assert!(SchedulerStrategy::parse("beam:0").is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerStrategy {
     /// The paper's deterministic DMS heuristic (the default; bit-identical
     /// to the pre-strategy scheduler).

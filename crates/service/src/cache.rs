@@ -2,11 +2,10 @@
 //!
 //! A fixed number of `Mutex`-guarded shards, picked by hashing the
 //! [`CacheKey`]; concurrent sweep workers only contend when they touch the
-//! same shard. Every entry is guarded by the requester's exact fingerprint
-//! (see [`crate::hash`]): one canonical key can hold several
-//! isomorphic-twin entries side by side, and a lookup hits only on an exact
-//! guard match — so a cached value is always *the* value the cold path
-//! would have produced for that precise request, bit for bit.
+//! same shard. A key maps to one value. The key digests the exact body and
+//! the exact context (see [`crate::hash`]), so a cached value is always
+//! *the* value the cold path would have produced for that precise request,
+//! bit for bit.
 //!
 //! The shard count is a pure performance knob: results never depend on it
 //! (a regression test in the workspace pins 1-shard vs 8-shard sweeps to
@@ -16,14 +15,14 @@
 //! thread poisons whatever shard mutex it held; unwrapping the poison would
 //! turn one bad request into a permanently dead resident service. Entries
 //! are insert-once keep-first — a lookup never observes a half-written
-//! entry because the `Vec` push is the last thing an insert does and
+//! entry because the map insert is the last thing an insert does and
 //! clones are taken under the lock — so the map behind a poisoned mutex is
 //! still consistent and every accessor simply takes the guard back with
 //! [`PoisonError::into_inner`].
 
 use crate::hash::CacheKey;
 use dms_telemetry::Counter;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Mutex, PoisonError};
 
 /// Snapshot of the cache's activity counters.
@@ -31,17 +30,16 @@ use std::sync::{Mutex, PoisonError};
 pub struct CacheCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that found no matching entry (key absent or guard mismatch).
+    /// Lookups that found no entry for their key.
     pub misses: u64,
     /// Entries inserted (re-inserting an existing entry does not count).
     pub inserts: u64,
 }
 
-/// One shard: a key mapped to its guard-disambiguated entries. The inner
-/// `Vec` is almost always length 1; isomorphic twins make it longer.
-type Shard<V> = Mutex<HashMap<CacheKey, Vec<(u64, V)>>>;
+/// One shard: a key mapped to its value.
+type Shard<V> = Mutex<HashMap<CacheKey, V>>;
 
-/// A sharded map from (key, guard) to a cloneable value.
+/// A sharded map from a key to a cloneable value.
 ///
 /// The hit/miss/insert counters are `dms-telemetry` [`Counter`] handles,
 /// so a cache built with [`ShardedCache::with_counters`] publishes its
@@ -89,14 +87,10 @@ impl<V: Clone> ShardedCache<V> {
         &self.shards[(key.mixed() % self.shards.len() as u64) as usize]
     }
 
-    /// Looks up the entry for `key` whose guard matches exactly, counting a
-    /// hit or a miss.
-    pub fn lookup(&self, key: &CacheKey, guard: u64) -> Option<V> {
+    /// Looks up the entry for `key`, counting a hit or a miss.
+    pub fn lookup(&self, key: &CacheKey) -> Option<V> {
         let shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
-        let found = shard
-            .get(key)
-            .and_then(|entries| entries.iter().find(|(g, _)| *g == guard))
-            .map(|(_, v)| v.clone());
+        let found = shard.get(key).cloned();
         drop(shard);
         match &found {
             Some(_) => self.hits.inc(),
@@ -105,33 +99,22 @@ impl<V: Clone> ShardedCache<V> {
         found
     }
 
-    /// Inserts a value for (key, guard). Keep-first: if another worker
-    /// raced us to the same (key, guard) the existing entry wins — both
-    /// workers computed it from identical inputs through a deterministic
-    /// pipeline, so the values are identical and the first stays.
-    pub fn insert(&self, key: CacheKey, guard: u64, value: V) {
+    /// Inserts a value for `key`. Keep-first: if another worker raced us
+    /// to the same key the existing entry wins — both workers computed it
+    /// from identical inputs through a deterministic pipeline, so the
+    /// values are identical and the first stays.
+    pub fn insert(&self, key: CacheKey, value: V) {
         let mut shard = self.shard(&key).lock().unwrap_or_else(PoisonError::into_inner);
-        let entries = shard.entry(key).or_default();
-        if entries.iter().any(|(g, _)| *g == guard) {
-            return;
+        if let Entry::Vacant(slot) = shard.entry(key) {
+            slot.insert(value);
+            drop(shard);
+            self.inserts.inc();
         }
-        entries.push((guard, value));
-        drop(shard);
-        self.inserts.inc();
     }
 
-    /// Total entries across all shards (guard-level granularity).
+    /// Total entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -153,41 +136,29 @@ impl<V: Clone> ShardedCache<V> {
 mod tests {
     use super::*;
 
-    fn key(canon: u64, context: u64) -> CacheKey {
-        CacheKey { canon, context }
+    fn key(body: u64, context: u64) -> CacheKey {
+        CacheKey { body, context }
     }
 
     #[test]
     fn lookup_miss_insert_hit() {
         let cache: ShardedCache<String> = ShardedCache::new(4);
         let k = key(1, 2);
-        assert_eq!(cache.lookup(&k, 7), None);
-        cache.insert(k, 7, "v".to_string());
-        assert_eq!(cache.lookup(&k, 7), Some("v".to_string()));
+        assert_eq!(cache.lookup(&k), None);
+        cache.insert(k, "v".to_string());
+        assert_eq!(cache.lookup(&k), Some("v".to_string()));
         assert_eq!(cache.stats(), CacheCounters { hits: 1, misses: 1, inserts: 1 });
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
     }
 
     #[test]
-    fn guard_mismatch_is_a_miss_and_twins_coexist() {
-        let cache: ShardedCache<u32> = ShardedCache::new(2);
-        let k = key(42, 42);
-        cache.insert(k, 1, 100);
-        assert_eq!(cache.lookup(&k, 2), None, "same key, different guard: miss");
-        cache.insert(k, 2, 200);
-        assert_eq!(cache.lookup(&k, 1), Some(100));
-        assert_eq!(cache.lookup(&k, 2), Some(200));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn reinsert_keeps_the_first_value_and_does_not_count() {
         let cache: ShardedCache<u32> = ShardedCache::new(1);
         let k = key(5, 5);
-        cache.insert(k, 9, 1);
-        cache.insert(k, 9, 2);
-        assert_eq!(cache.lookup(&k, 9), Some(1));
+        cache.insert(k, 1);
+        cache.insert(k, 2);
+        assert_eq!(cache.lookup(&k), Some(1));
         assert_eq!(cache.stats().inserts, 1);
     }
 
@@ -201,7 +172,7 @@ mod tests {
     fn a_poisoned_shard_keeps_serving_lookups_inserts_and_len() {
         let cache: ShardedCache<u32> = ShardedCache::new(1);
         let k = key(3, 4);
-        cache.insert(k, 1, 11);
+        cache.insert(k, 11);
 
         // Poison the single shard: a thread panics while holding its lock
         // (exactly what a panicking scheduler worker would do mid-insert).
@@ -216,10 +187,10 @@ mod tests {
 
         // Every accessor recovers the guard instead of propagating the
         // panic: the pre-poison entry survives and new inserts land.
-        assert_eq!(cache.lookup(&k, 1), Some(11));
+        assert_eq!(cache.lookup(&k), Some(11));
         let k2 = key(5, 6);
-        cache.insert(k2, 2, 22);
-        assert_eq!(cache.lookup(&k2, 2), Some(22));
+        cache.insert(k2, 22);
+        assert_eq!(cache.lookup(&k2), Some(22));
         assert_eq!(cache.len(), 2);
     }
 }

@@ -16,16 +16,15 @@
 //!   [`cache`] or by running the scheduler (and, when asked, the end-to-end
 //!   verify oracle) cold and inserting the result. Cached responses are
 //!   bit-identical to cold ones: the cache stores the full outcome plus the
-//!   verified-stores digest, and an exact fingerprint guard inside every
-//!   entry keeps isomorphic-but-distinct loops (whose schedules can differ
-//!   in name-seeded tie-breaks) from ever sharing an entry.
-//! * [`cache`] — N `Mutex`-guarded shards keyed by
-//!   (canonical DDG hash, context hash), with hit/miss/insert counters
-//!   published as `dms-telemetry` handles into the owning service's
-//!   metrics registry. The canonical half of the key is
-//!   [`dms_ir::canonical_hash`]; the context half folds the machine
-//!   description, the scheduler kind and configuration, and the
-//!   verification trip count.
+//!   verified-stores digest, and the key digests the exact body, so
+//!   isomorphic-but-distinct loops (whose schedules can differ in
+//!   name-seeded tie-breaks) never share an entry.
+//! * [`cache`] — N `Mutex`-guarded shards mapping a [`CacheKey`] to one
+//!   value, with hit/miss/insert counters published as `dms-telemetry`
+//!   handles into the owning service's metrics registry. The key
+//!   ([`hash`]) is two FNV-1a digests of derived `Hash` impls: the exact
+//!   loop body, and the context — scheduler kind and configuration,
+//!   machine description, verification trip count and contention flag.
 //! * [`pool`] — the deterministic work-stealing worker pool (shared atomic
 //!   cursor, small claimed batches, one pre-allocated result slot per item)
 //!   lifted out of the experiments sweep engine so every driver can fan
@@ -33,8 +32,8 @@
 //!
 //! [`wire`] and [`net`] add a newline-delimited-JSON wire protocol over
 //! `std::net::TcpListener` (thread-per-connection, no async runtime —
-//! the build is offline and the vendored serde shim is marker-traits only,
-//! so the JSON codec is hand-rolled here) used by the
+//! the build is offline and has no serialization crate, so the JSON codec
+//! is hand-rolled here) used by the
 //! `dms-experiments serve` / `client` subcommands.
 //!
 //! Every service owns a [`dms_telemetry::Registry`]: cache counters, a

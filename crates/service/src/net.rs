@@ -10,8 +10,10 @@
 //! for a caller that binds first.
 //!
 //! Untrusted input cannot take the process down: a request line longer than
-//! [`MAX_LINE_BYTES`] and JSON nested deeper than [`wire::MAX_NESTING`] are
-//! answered with an error reply, and the connection stays open.
+//! [`MAX_LINE_BYTES`], JSON nested deeper than [`wire::MAX_NESTING`], a
+//! cluster count outside `1..=`[`wire::MAX_CLUSTERS`] and a `verify_trips`
+//! above [`wire::MAX_VERIFY_TRIPS`] are answered with an error reply, and
+//! the connection stays open.
 //!
 //! Handler threads poll their stream with a read timeout
 //! (`READ_POLL_INTERVAL`, 50 ms) instead of blocking indefinitely: `serve`'s
@@ -314,12 +316,9 @@ mod tests {
         handle.join().unwrap();
     }
 
-    #[test]
-    fn serve_answers_schedules_caches_repeats_and_shuts_down() {
-        let (addr, handle) = spawn_server();
-        let mut client = Client::connect_with_retry(&addr.to_string()).unwrap();
-
-        let request = wire::encode_schedule_request(&WireSchedule {
+    /// A verified DMS request for a small FIR on 2 ring clusters.
+    fn fir_request() -> String {
+        wire::encode_schedule_request(&WireSchedule {
             body: kernels::fir(4, 32),
             machine: WireMachine {
                 unclustered: false,
@@ -332,7 +331,49 @@ mod tests {
             dms: DmsConfig::default(),
             verify_trips: Some(32),
             contention: false,
-        });
+        })
+    }
+
+    /// Regression test for a handler panic: `clusters: 0` reached
+    /// `MachineConfig`'s assertion, which killed the handler thread and
+    /// re-raised the panic out of `serve_on`; a count near `u32::MAX`
+    /// asked for tens of GB; and the verifying walk ran for any trip count
+    /// it was given. Each now gets an error reply, the connection keeps
+    /// serving, and `serve_on` returns cleanly.
+    #[test]
+    fn out_of_range_clusters_and_verify_trips_get_error_replies() {
+        let (addr, handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let good = fir_request();
+        let cases = [
+            ("\"clusters\":2", "\"clusters\":0".to_string(), "machine clusters"),
+            ("\"clusters\":2", format!("\"clusters\":{}", u32::MAX), "machine clusters"),
+            (
+                "\"verify_trips\":32",
+                format!("\"verify_trips\":{}", wire::MAX_VERIFY_TRIPS + 1),
+                "verify_trips",
+            ),
+        ];
+        for (needle, replacement, field) in cases {
+            let bad = good.replace(needle, &replacement);
+            assert_ne!(bad, good, "pattern {needle} not found in the encoded request");
+            let reply = send(&mut stream, bad.as_bytes());
+            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{replacement}");
+            let error = reply.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains(field), "{replacement}: {error}");
+        }
+        let reply = send(&mut stream, good.as_bytes());
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        send(&mut stream, wire::encode_shutdown_request().as_bytes());
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn serve_answers_schedules_caches_repeats_and_shuts_down() {
+        let (addr, handle) = spawn_server();
+        let mut client = Client::connect_with_retry(&addr.to_string()).unwrap();
+
+        let request = fir_request();
 
         let cold = Json::parse(&client.roundtrip(&request).unwrap()).unwrap();
         assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));

@@ -11,8 +11,9 @@
 //!
 //! **Cached responses are bit-identical to cold ones.** The cache stores
 //! the complete [`ScheduleOutcome`]/[`ScheduleResult`] plus the verify
-//! digest, keyed by (canonical DDG hash, context hash) and guarded by the
-//! exact loop fingerprint (see [`crate::hash`] for why the guard exists).
+//! digest, keyed by (exact body digest, context digest); see
+//! [`crate::hash`] for why the body digest is exact rather than
+//! isomorphism-invariant.
 //! Failures — scheduler errors and verification failures — are never
 //! cached: they are rare (a healthy sweep has none) and a negative cache
 //! would complicate the bit-exactness story for no measurable win.
@@ -20,17 +21,18 @@
 use crate::cache::{CacheCounters, ShardedCache};
 use crate::hash::{guard_fingerprint, CacheKey, Fnv};
 use dms_core::{dms_schedule, DmsConfig, ScheduleOutcome};
-use dms_ir::{canonical_hash, Loop};
+use dms_ir::Loop;
 use dms_machine::{MachineConfig, TransferModel};
 use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleResult};
 use dms_sim::verify_timed;
 use dms_telemetry::{Gauge, Histogram, Registry, SchedEvent};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which scheduler a request runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// IMS on the (unclustered) machine — the paper's baseline.
     Ims,
@@ -247,8 +249,7 @@ impl ScheduleService {
 
     fn answer(&self, req: &ScheduleRequest<'_>) -> Result<ScheduleResponse, ServiceError> {
         let key = cache_key(req);
-        let guard = guard_fingerprint(req.body);
-        if let Some(entry) = self.cache.lookup(&key, guard) {
+        if let Some(entry) = self.cache.lookup(&key) {
             self.registry.record_event(SchedEvent::CacheHit);
             return Ok(ScheduleResponse {
                 output: entry.output,
@@ -290,43 +291,36 @@ impl ScheduleService {
             }
         };
 
-        self.cache.insert(key, guard, CachedSchedule { output: output.clone(), verify });
+        self.cache.insert(key, CachedSchedule { output: output.clone(), verify });
         Ok(ScheduleResponse { output, verify, cache_hit: false })
     }
 }
 
-/// Derives the content address of a request. The canonical half is the
-/// isomorphism-invariant DDG hash; the context half folds everything else
-/// the schedule depends on. `DmsConfig` only enters DMS keys — IMS ignores
-/// it, so including it would make identical IMS requests miss whenever an
-/// unrelated DMS knob (e.g. the sweep's `ii_seed` threading) changes.
+/// Derives the content address of a request: the exact body digest and a
+/// context digest over everything else the answer depends on. `DmsConfig`
+/// only enters DMS keys — IMS ignores it, so including it would make
+/// identical IMS requests miss whenever an unrelated DMS knob (e.g. the
+/// sweep's `ii_seed` threading) changes. The contention flag separates a
+/// contention request, whose digest carries the achieved II, from a plain
+/// verified one.
 fn cache_key(req: &ScheduleRequest<'_>) -> CacheKey {
     let mut ctx = Fnv::new();
-    match req.scheduler {
-        SchedulerKind::Ims => ctx.word(1),
-        SchedulerKind::Dms => {
-            ctx.word(2);
-            ctx.debug(&req.dms);
-        }
+    req.scheduler.hash(&mut ctx);
+    if req.scheduler == SchedulerKind::Dms {
+        req.dms.hash(&mut ctx);
     }
-    ctx.debug(req.machine);
-    match req.verify_trips {
-        None => ctx.word(0),
-        Some(trips) => {
-            ctx.word(1);
-            ctx.word(trips);
-        }
-    }
-    // A contention request carries an extra digest field, so it must not
-    // hit a plain verified entry (and vice versa).
-    ctx.word(u64::from(req.contention));
-    CacheKey { canon: canonical_hash(&req.body.ddg), context: ctx.finish() }
+    req.machine.hash(&mut ctx);
+    req.verify_trips.hash(&mut ctx);
+    req.contention.hash(&mut ctx);
+    CacheKey { body: guard_fingerprint(req.body), context: ctx.finish() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dms_core::{ChainPolicy, PressureMode, SchedulerStrategy, SingleUsePolicy};
     use dms_ir::kernels;
+    use dms_machine::TopologyKind;
 
     fn dms_request<'a>(body: &'a Loop, machine: &'a MachineConfig) -> ScheduleRequest<'a> {
         ScheduleRequest {
@@ -421,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn isomorphic_twin_with_a_different_name_misses_on_the_guard() {
+    fn a_renamed_twin_misses_and_gets_its_own_entry() {
         let service = ScheduleService::default();
         let fir = kernels::fir(8, 64);
         let mut twin = fir.clone();
@@ -432,10 +426,72 @@ mod tests {
         let twin_resp = service.schedule(&dms_request(&twin, &machine)).unwrap();
         assert!(
             !twin_resp.cache_hit,
-            "the exact-fingerprint guard must keep name-seeded tie-breaks from leaking \
-             across isomorphic twins"
+            "the body digest must keep name-seeded tie-breaks from leaking across \
+             isomorphic twins"
         );
-        assert_eq!(service.cache_len(), 2, "both twins coexist under one canonical key");
+        assert_eq!(service.cache_len(), 2, "each twin has its own entry");
+    }
+
+    #[test]
+    fn changing_any_single_field_changes_the_cache_key() {
+        let fir = kernels::fir(8, 64);
+        let clustered = MachineConfig::paper_clustered(4);
+        let base = dms_request(&fir, &clustered);
+        let key = cache_key(&base);
+        assert_eq!(key, cache_key(&dms_request(&fir.clone(), &clustered.clone())));
+
+        let machines = [
+            ("topology", clustered.clone().with_topology(TopologyKind::Bus)),
+            ("cqrf capacity", clustered.clone().with_cqrf_capacity(16)),
+            ("copy units", MachineConfig::paper_clustered_with_copy_units(4, 2)),
+            ("clustered vs unclustered", MachineConfig::unclustered(4)),
+        ];
+        for (field, machine) in &machines {
+            assert_ne!(key, cache_key(&ScheduleRequest { machine, ..base }), "machine {field}");
+        }
+
+        // Destructured so that a new `DmsConfig` field fails to compile
+        // here until it is added to the list below.
+        let d = DmsConfig::default();
+        let DmsConfig {
+            budget_ratio,
+            max_ii: _,
+            chain_policy: _,
+            single_use: _,
+            pressure: _,
+            ii_seed: _,
+            strategy: _,
+        } = d;
+        let configs = [
+            ("budget_ratio", DmsConfig { budget_ratio: budget_ratio + 1, ..d }),
+            ("max_ii", DmsConfig { max_ii: Some(9), ..d }),
+            ("chain_policy", DmsConfig { chain_policy: ChainPolicy::ShortestPath, ..d }),
+            ("single_use", DmsConfig { single_use: SingleUsePolicy::Always, ..d }),
+            ("pressure", DmsConfig { pressure: PressureMode::Ignore, ..d }),
+            ("ii_seed", DmsConfig { ii_seed: Some(3), ..d }),
+            ("strategy", DmsConfig { strategy: SchedulerStrategy::Beam { width: 2 }, ..d }),
+        ];
+        for (field, dms) in configs {
+            assert_ne!(key, cache_key(&ScheduleRequest { dms, ..base }), "DmsConfig {field}");
+        }
+
+        let mut renamed = fir.clone();
+        renamed.name.push('_');
+        let requests = [
+            ("body", dms_request(&renamed, &clustered)),
+            ("scheduler", ScheduleRequest { scheduler: SchedulerKind::Ims, ..base }),
+            ("verify trips", ScheduleRequest { verify_trips: Some(16), ..base }),
+            ("contention", ScheduleRequest { contention: true, ..base }),
+        ];
+        for (field, req) in requests {
+            assert_ne!(key, cache_key(&req), "{field}");
+        }
+        let verified = ScheduleRequest { verify_trips: Some(16), ..base };
+        assert_ne!(
+            cache_key(&verified),
+            cache_key(&ScheduleRequest { verify_trips: Some(32), ..base }),
+            "verify trip count"
+        );
     }
 
     #[test]

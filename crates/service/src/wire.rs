@@ -1,9 +1,9 @@
 //! The newline-delimited JSON wire protocol of the schedule service.
 //!
-//! One request per line, one response per line. The vendored serde shim is
-//! marker-traits only (this build environment is offline), so the codec is
-//! hand-rolled: a small recursive-descent parser over a [`Json`] value tree
-//! and explicit renderers. All numbers on the wire are integers.
+//! One request per line, one response per line. The build is offline and
+//! has no serialization crate, so the codec is hand-rolled: a small
+//! recursive-descent parser over a [`Json`] value tree and explicit
+//! renderers. All numbers on the wire are integers.
 //!
 //! ## Requests
 //!
@@ -802,13 +802,27 @@ pub fn decode_loop(json: &Json) -> Result<Loop, String> {
     Ok(Loop { name, ddg, trip_count })
 }
 
+/// Largest cluster count a request may ask for (the paper sweeps 1..=10).
+/// [`WireMachine::build`] allocates per cluster, so untrusted input must
+/// not choose the count.
+pub const MAX_CLUSTERS: u32 = 64;
+
+/// Largest verification trip count a request may ask for: 16 times the
+/// sweeps' cap of 64. The verifying walk runs for as many iterations as it
+/// is asked, so untrusted input must not choose an unbounded count.
+pub const MAX_VERIFY_TRIPS: u64 = 1024;
+
 fn decode_machine(json: &Json) -> Result<WireMachine, String> {
+    let clusters = narrow_u32(
+        json.get("clusters").and_then(Json::as_u64).ok_or("machine needs a clusters count")?,
+        "machine clusters",
+    )?;
+    if !(1..=MAX_CLUSTERS).contains(&clusters) {
+        return Err(format!("machine clusters {clusters} is not in 1..={MAX_CLUSTERS}"));
+    }
     Ok(WireMachine {
         unclustered: json.get("unclustered").and_then(Json::as_bool).unwrap_or(false),
-        clusters: narrow_u32(
-            json.get("clusters").and_then(Json::as_u64).ok_or("machine needs a clusters count")?,
-            "machine clusters",
-        )?,
+        clusters,
         copy_units: narrow_u32(
             json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
             "machine copy_units",
@@ -858,7 +872,13 @@ pub fn decode_request(line: &str) -> Result<WireRequest, String> {
             }
             let verify_trips = match json.get("verify_trips") {
                 None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("verify_trips must be a number or null")?),
+                Some(v) => {
+                    let trips = v.as_u64().ok_or("verify_trips must be a number or null")?;
+                    if trips > MAX_VERIFY_TRIPS {
+                        return Err(format!("verify_trips {trips} is above {MAX_VERIFY_TRIPS}"));
+                    }
+                    Some(trips)
+                }
             };
             let contention = match json.get("contention") {
                 None | Some(Json::Null) => false,
@@ -1060,6 +1080,30 @@ mod tests {
             assert!(err.contains(field), "{field}: got {err}");
             assert!(err.contains("does not fit in 32 bits"), "{field}: got {err}");
         }
+    }
+
+    #[test]
+    fn clusters_and_verify_trips_are_bounded_inclusively() {
+        let line = encode_schedule_request(&WireSchedule {
+            body: kernels::fir(4, 32),
+            machine: WireMachine {
+                unclustered: true,
+                clusters: MAX_CLUSTERS,
+                copy_units: 1,
+                cqrf_capacity: None,
+                topology: TopologyKind::Ring,
+            },
+            scheduler: SchedulerKind::Ims,
+            dms: DmsConfig::default(),
+            verify_trips: Some(MAX_VERIFY_TRIPS),
+            contention: false,
+        });
+        assert!(decode_request(&line).is_ok(), "the bounds themselves are accepted");
+        let over = line.replace(
+            &format!("\"clusters\":{MAX_CLUSTERS}"),
+            &format!("\"clusters\":{}", MAX_CLUSTERS + 1),
+        );
+        assert!(decode_request(&over).unwrap_err().contains("machine clusters"));
     }
 
     /// Edge latency/distance and operand fields narrow too: patch the loop

@@ -33,11 +33,10 @@ use crate::vliw::run_program;
 use dms_ir::Ddg;
 use dms_machine::MachineConfig;
 use dms_regalloc::codegen::VliwProgram;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Timing summary of one contention-accurate replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionReport {
     /// The II the scheduler promised (kernel length of the program).
     pub scheduled_ii: u32,

@@ -20,11 +20,10 @@ use dms_ir::OpId;
 use dms_machine::MachineConfig;
 use dms_regalloc::emit;
 use dms_sched::schedule::ScheduleResult;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary of one simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimReport {
     /// Total cycles, from the analytic model `(trip + stages - 1) * II`.
     pub cycles: u64,

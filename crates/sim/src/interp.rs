@@ -8,10 +8,9 @@
 use crate::values::{apply, initial_value, invariant_value, live_in_value};
 use dms_ir::analysis::topological_order;
 use dms_ir::{Ddg, OpId, OpKind, Operand};
-use serde::{Deserialize, Serialize};
 
 /// One value written by a store operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreRecord {
     /// The store operation.
     pub op: OpId,

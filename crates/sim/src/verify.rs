@@ -31,7 +31,6 @@ use dms_regalloc::queues::AllocError;
 use dms_regalloc::{allocate, emit};
 use dms_sched::schedule::ScheduleResult;
 use dms_sched::validate::{validate_schedule, Violation};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a schedule failed end-to-end verification.
@@ -80,7 +79,7 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The measurements gathered by one successful verification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerifyReport {
     /// Initiation interval of the verified schedule.
     pub ii: u32,

@@ -2,8 +2,8 @@
 //!
 //! The scheduler core (`dms-core`/`dms-sched`/`dms-sim`) predates
 //! telemetry and hashes its configs into cache keys, so a handle cannot
-//! ride in `DmsConfig` (its `Debug` output feeds the content address —
-//! a telemetry field would fragment the cache) and signature changes
+//! ride in `DmsConfig` (its derived `Hash` feeds the content address — a
+//! telemetry field would fragment the cache) and signature changes
 //! would ripple through every driver and test. Instead, instrumented code
 //! captures [`Telemetry::current`] once per coarse unit of work (one
 //! scheduling attempt, one replay) — a single `RwLock` read — and records

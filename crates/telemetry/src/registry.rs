@@ -349,7 +349,7 @@ impl Registry {
     }
 
     /// Renders the registry as one JSON document (hand-rolled — the
-    /// vendored serde is marker-traits only): counters, gauges, histograms
+    /// build has no serialization crate): counters, gauges, histograms
     /// (with the fixed bucket bounds), per-kind event counts and the drop
     /// count. Names sorted; layout deterministic.
     pub fn render_json(&self) -> String {

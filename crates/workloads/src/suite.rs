@@ -4,10 +4,9 @@ use dms_ir::analysis::has_recurrence;
 use dms_ir::{kernels, Loop, LoopBuilder, OpId, OpKind, Operand};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Classification of a suite loop, matching the paper's two evaluation sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopClass {
     /// The loop contains at least one recurrence circuit (still part of
     /// Set 1, but excluded from Set 2).
@@ -37,7 +36,7 @@ impl SuiteLoop {
 }
 
 /// Parameters of the suite generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteConfig {
     /// Number of loops to generate (the paper uses 1258).
     pub num_loops: usize,
@@ -76,7 +75,7 @@ impl Default for SuiteConfig {
 }
 
 /// Aggregate statistics of a generated suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteStats {
     /// Number of loops.
     pub loops: usize,

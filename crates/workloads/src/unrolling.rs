@@ -12,10 +12,9 @@
 //! DMS and IMS — exactly what the paper's comparison requires.
 
 use dms_ir::{transform, Loop};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the unrolling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnrollPolicy {
     /// Desired useful operations per useful functional unit.
     pub ops_per_fu: f64,

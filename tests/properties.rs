@@ -288,8 +288,7 @@ fn portfolio_winners_pareto_dominate_or_equal_the_plain_dms_point() {
     });
 }
 
-/// The content hash the schedule-service cache keys on is an isomorphism
-/// invariant: re-inserting the ops of any generated loop in a different
+/// The canonical DDG hash is an isomorphism invariant: re-inserting the ops of any generated loop in a different
 /// order (with operands and edges remapped accordingly) never changes the
 /// hash, while semantically meaningful mutations — an edge latency, a
 /// dependence distance, a dropped edge — always do.
