@@ -92,8 +92,10 @@ mod tests {
         for (b, v) in result.baseline.iter().zip(&result.variant) {
             assert!(v.percent_increased <= b.percent_increased + 10.0 + 1e-9);
         }
-        // the summary metric is finite
+        // the summary metric is finite, and extra copy units do not make
+        // things worse on average
         assert!(result.mean_overhead_reduction().is_finite());
+        assert!(result.mean_overhead_reduction() >= -10.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`runner`] produces the raw per-loop measurements shared by all figures
 //! (fanning the (loop × cluster-count) grid out across worker threads with
 //! deterministic, worker-count-independent results — see
-//! [`runner::measure_loops_with_stats`]). Every scheduler invocation goes
+//! [`runner::measure_loops_with_stats_on`]). Every scheduler invocation goes
 //! through the `dms-service` crate's [`ScheduleService`], whose
 //! content-addressed cache makes repeated sweeps against a resident service
 //! (the `dms-experiments serve` subcommand) answer from memory.

@@ -403,7 +403,7 @@ pub fn measure_suite_with_stats_on(
 /// Measures an already-generated suite (useful when the caller also needs the
 /// suite itself).
 pub fn measure_loops(suite: &[SuiteLoop], config: &ExperimentConfig) -> Vec<LoopMeasurement> {
-    measure_loops_with_stats(suite, config).0
+    measure_loops_with_stats_on(suite, config, &ScheduleService::default()).0
 }
 
 /// Measures one suite loop at every configured cluster count, in
@@ -442,14 +442,6 @@ fn measure_loop(
             m
         })
         .collect()
-}
-
-/// The sweep executor, on a fresh (cold) schedule service.
-pub fn measure_loops_with_stats(
-    suite: &[SuiteLoop],
-    config: &ExperimentConfig,
-) -> (Vec<LoopMeasurement>, SweepStats) {
-    measure_loops_with_stats_on(suite, config, &ScheduleService::default())
 }
 
 /// The sweep executor, against a caller-owned [`ScheduleService`].
@@ -661,7 +653,7 @@ mod tests {
         let mut cfg = ExperimentConfig::quick(16);
         cfg.cluster_counts = vec![1, 2, 4, 8, 10];
         let suite = generate(&cfg.suite);
-        let (swept, stats) = measure_loops_with_stats(&suite, &cfg);
+        let (swept, stats) = measure_loops_with_stats_on(&suite, &cfg, &ScheduleService::default());
         assert_eq!(stats.failed, 0);
         let reference: Vec<LoopMeasurement> = suite
             .iter()

@@ -28,8 +28,7 @@
 //! the interconnect's bandwidth; a larger value quantifies the optimism of
 //! the storage-only model.
 
-use crate::exec::SimError;
-use crate::vliw::run_program;
+use crate::vliw::{run_program, SimError};
 use dms_ir::Ddg;
 use dms_machine::MachineConfig;
 use dms_regalloc::codegen::VliwProgram;

@@ -17,28 +17,24 @@
 //! * [`interp`] — the sequential reference interpreter of a loop DDG,
 //!   defining the semantics every correct schedule must reproduce, kept
 //!   separate from the executor it checks,
-//! * [`exec`] — [`simulate`]: checks a schedule can be lowered, emits it,
-//!   walks it and compares the stores against the reference,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →
 //!   walk → cross-check against the scalar reference,
 //! * [`values`] — the deterministic value semantics shared by all of them.
 //!
-//! The schedule-level entry point is [`simulate`]; the pipeline-level entry
-//! point is [`verify_schedule`], re-exported at the workspace root as
+//! The one oracle is [`verify_schedule`] (and [`verify_timed`], which also
+//! times the walk), re-exported at the workspace root as
 //! `dms::verify_schedule`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod contention;
-pub mod exec;
 pub mod interp;
 pub mod values;
 pub mod verify;
 pub mod vliw;
 
 pub use contention::{contended_replay, ContentionReport};
-pub use exec::{simulate, SimError, SimReport};
 pub use interp::{reference_trace, StoreRecord};
 pub use verify::{verify_schedule, verify_timed, VerifyError, VerifyReport};
-pub use vliw::{execute_program, run_program, Execution, ProgramReport};
+pub use vliw::{execute_program, run_program, Execution, ProgramReport, SimError};

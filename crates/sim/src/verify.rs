@@ -22,9 +22,8 @@
 //! at the workspace root as `dms::verify_schedule`.
 
 use crate::contention::ContentionReport;
-use crate::exec::SimError;
 use crate::interp::{reference_trace, StoreRecord};
-use crate::vliw::run_program;
+use crate::vliw::{run_program, SimError};
 use dms_ir::Loop;
 use dms_machine::{MachineConfig, TransferModel};
 use dms_regalloc::queues::AllocError;
@@ -91,6 +90,9 @@ pub struct VerifyReport {
     pub stores_checked: u64,
     /// Operation instances executed (prologue + kernel + epilogue).
     pub instances_executed: u64,
+    /// Useful (non copy/move) instances among them: the source loop's
+    /// useful operations times the trip count.
+    pub useful_instances: u64,
     /// Values that crossed a cluster boundary through a CQRF.
     pub cross_cluster_values: u64,
     /// Largest occupancy reached by any CQRF stream.
@@ -190,6 +192,7 @@ pub fn verify_timed(
         cycles: exec.report.cycles,
         stores_checked: expected.len() as u64,
         instances_executed: exec.report.instances_executed,
+        useful_instances: exec.report.useful_instances,
         cross_cluster_values: exec.report.cross_cluster_values,
         max_queue_depth: exec.report.max_queue_depth,
         total_registers: alloc.total_registers(),
@@ -209,7 +212,7 @@ mod tests {
     #[test]
     fn every_kernel_verifies_on_clustered_and_unclustered_machines() {
         for l in kernels::all(40) {
-            for clusters in [1, 2, 4, 6] {
+            for clusters in [1, 2, 4, 6, 8] {
                 let cm = MachineConfig::paper_clustered(clusters);
                 let d = dms_schedule(&l, &cm, &DmsConfig::default()).unwrap();
                 let rep = verify_schedule(&l, &d, &cm, l.trip_count).unwrap_or_else(|e| {
@@ -217,6 +220,12 @@ mod tests {
                 });
                 assert!(rep.stores_checked > 0);
                 assert!(rep.total_registers > 0);
+                assert_eq!(
+                    rep.useful_instances,
+                    l.useful_ops() as u64 * l.trip_count,
+                    "{}",
+                    l.name
+                );
 
                 let um = MachineConfig::unclustered(clusters);
                 let i = ims_schedule(&l, &um, &ImsConfig::default()).unwrap();
@@ -238,6 +247,22 @@ mod tests {
         assert!(r.stats.copies_inserted > 0);
         let rep = verify_schedule(&l, &r, &m, l.trip_count).unwrap();
         assert_eq!(rep.stores_checked, l.trip_count);
+    }
+
+    #[test]
+    fn cross_cluster_values_flow_through_queues() {
+        // 16 loads + 16 muls + a reduction tree: the Load/Store pressure
+        // forces the loads to spread over many clusters, so the reduction has
+        // to pull values across cluster boundaries.
+        let l = kernels::fir(16, 512);
+        let m = MachineConfig::paper_clustered(8);
+        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        let used: std::collections::HashSet<_> =
+            r.schedule.iter().map(|(_, s)| s.cluster).collect();
+        assert!(used.len() > 1, "17 memory operations cannot fit in one cluster at this II");
+        let rep = verify_schedule(&l, &r, &m, 64).unwrap();
+        assert!(rep.cross_cluster_values > 0);
+        assert!(rep.max_queue_depth >= 1);
     }
 
     #[test]
@@ -264,18 +289,28 @@ mod tests {
     fn wrong_cluster_is_caught() {
         let l = kernels::daxpy(32);
         let m = MachineConfig::paper_clustered(6);
-        let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap().into_result();
         let store = r
             .ddg
             .live_ops()
             .find(|(_, o)| o.kind == dms_ir::OpKind::Store)
             .map(|(id, _)| id)
             .unwrap();
-        let producer = r.ddg.op(store).defs_read().next().unwrap().0;
-        let p_cluster = r.schedule.get(producer).unwrap().cluster;
-        let t = r.schedule.get(store).unwrap().time;
-        r.schedule.place(store, t, ClusterId((p_cluster.0 + 3) % 6));
-        assert!(verify_schedule(&l, &r, &m, 8).is_err());
+        let violations = |r: &ScheduleResult| match verify_schedule(&l, r, &m, 8) {
+            Err(VerifyError::InvalidSchedule(v)) => v,
+            other => panic!("expected InvalidSchedule, got {other:?}"),
+        };
+
+        let mut unscheduled = r.clone();
+        unscheduled.schedule.remove(store);
+        assert!(violations(&unscheduled).contains(&Violation::Unscheduled(store)));
+
+        let mut far = r;
+        let producer = far.ddg.op(store).defs_read().next().unwrap().0;
+        let p_cluster = far.schedule.get(producer).unwrap().cluster;
+        let t = far.schedule.get(store).unwrap().time;
+        far.schedule.place(store, t, ClusterId((p_cluster.0 + 3) % 6));
+        assert!(violations(&far).iter().any(|v| matches!(v, Violation::Communication { .. })));
     }
 
     #[test]

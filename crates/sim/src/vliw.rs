@@ -10,7 +10,9 @@
 //! as the queue registers are allocated) with single-read discipline; a
 //! local value is read back from the producing cluster's register file. A
 //! wrong annotation, a missing kernel slot or a mis-ordered prologue changes
-//! the values reaching the stores and is caught by [`crate::verify`].
+//! the values reaching the stores and is caught by [`crate::verify`]; a
+//! fault the walk detects itself (an empty or overflowing CQRF stream, a
+//! program inconsistent with its DDG) is a [`SimError`].
 //!
 //! Timing rides along in the same pass: a word issues the cycle after its
 //! predecessor, or later if a CQRF operand is still in flight on its link
@@ -24,13 +26,62 @@
 //! `distance + pushed - popped` values.
 
 use crate::contention::{measure_achieved_ii, Booking, ContentionReport};
-use crate::exec::SimError;
 use crate::interp::StoreRecord;
 use crate::values::{apply, initial_value, invariant_value, live_in_value};
 use dms_ir::{Ddg, OpId, OpKind, Operand};
 use dms_machine::{CqrfId, MachineConfig, TransferModel};
 use dms_regalloc::codegen::{CodeSlot, OperandSource, VliwProgram};
 use dms_telemetry::{SchedEvent, Telemetry};
+use std::fmt;
+
+/// Errors detected while executing an emitted program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// A consumer tried to read from an empty inter-cluster queue (the value
+    /// had not been produced yet).
+    EmptyQueueRead {
+        /// Consumer operation.
+        consumer: OpId,
+        /// Iteration of the consumer.
+        iteration: u64,
+    },
+    /// A producer pushed into a full inter-cluster queue: the schedule keeps
+    /// more values in flight than the CQRF capacity allows. Reported eagerly
+    /// instead of dropping the value, which would corrupt every later read
+    /// of the stream and misdiagnose a capacity problem as a value bug.
+    QueueOverflow {
+        /// Producer operation whose value did not fit.
+        producer: OpId,
+        /// Consumer operation owning the overflowing stream.
+        consumer: OpId,
+    },
+    /// The emitted VLIW program is inconsistent with the DDG it claims to
+    /// implement (wrong operand annotation, wrong arity, wrong endpoint).
+    MalformedProgram {
+        /// The operation whose slot is inconsistent.
+        op: OpId,
+        /// What is wrong with it.
+        detail: String,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::EmptyQueueRead { consumer, iteration } => {
+                write!(f, "{consumer} read an empty queue in iteration {iteration}")
+            }
+            SimError::MalformedProgram { op, detail } => {
+                write!(f, "emitted program is inconsistent at {op}: {detail}")
+            }
+            SimError::QueueOverflow { producer, consumer } => {
+                write!(f, "value of {producer} for {consumer} overflowed a CQRF: capacity exceeded")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
 
 /// Summary of one program execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -555,6 +606,34 @@ mod tests {
         let exec = execute_program(&p, &r.ddg, &m, l.trip_count).unwrap();
         assert_eq!(exec.cross_cluster_values, 0);
         assert_eq!(exec.stores.len(), l.trip_count as usize);
+    }
+
+    #[test]
+    fn dependence_violation_changes_stored_values() {
+        // Issue a producer too late (after its consumer), with no validator
+        // in front: the walk must read an empty queue or store a value the
+        // reference does not.
+        let l = kernels::daxpy(32);
+        let m = MachineConfig::paper_clustered(2);
+        let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        let store =
+            r.ddg.live_ops().find(|(_, o)| o.kind == OpKind::Store).map(|(id, _)| id).unwrap();
+        let producer = r.ddg.op(store).defs_read().next().unwrap().0;
+        let place = r.schedule.get(producer).unwrap();
+        // push the producer 10 * II later, violating the dependence
+        let late = place.time + 10 * r.ii();
+        r.schedule.place(producer, late, place.cluster);
+        match execute_program(&emit(&r, &m), &r.ddg, &m, 8) {
+            Err(SimError::EmptyQueueRead { .. }) => {}
+            Ok(exec) => assert_ne!(sorted(exec.stores), sorted(reference_trace(&l.ddg, 8))),
+            Err(e) => panic!("a violated dependence must change values, got {e}"),
+        }
+    }
+
+    #[test]
+    fn error_display() {
+        let e = SimError::EmptyQueueRead { consumer: OpId(2), iteration: 5 };
+        assert!(e.to_string().contains("op2"));
     }
 
     #[test]

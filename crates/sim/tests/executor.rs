@@ -3,10 +3,10 @@
 
 use dms_core::{dms_schedule, DmsConfig};
 use dms_ir::kernels;
-use dms_machine::{ClusterId, CqrfId, MachineConfig, TopologyKind, TransferModel};
+use dms_machine::{CqrfId, MachineConfig, TopologyKind, TransferModel};
 use dms_regalloc::codegen::OperandSource;
 use dms_regalloc::emit;
-use dms_sim::{contended_replay, execute_program, run_program, simulate, SimError};
+use dms_sim::{contended_replay, execute_program, run_program, SimError};
 
 const TOPOLOGIES: [TopologyKind; 4] = [
     TopologyKind::Ring,
@@ -133,23 +133,4 @@ fn one_register_cqrfs_overflow_under_every_model() {
         }
     }
     assert!(exercised > 0, "no topology had a queue depth of 2 or more");
-}
-
-#[test]
-fn simulate_rejects_unscheduled_ops_and_communication_conflicts() {
-    let l = kernels::daxpy(32);
-    let m = MachineConfig::paper_clustered(6);
-    let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap().into_result();
-    let store = r.ddg.live_ops().find(|(_, o)| o.kind == dms_ir::OpKind::Store).unwrap().0;
-
-    let mut unscheduled = r.clone();
-    unscheduled.schedule.remove(store);
-    assert_eq!(simulate(&unscheduled, &m, 8), Err(SimError::Unscheduled(store)));
-
-    let mut far = r.clone();
-    let producer = far.ddg.op(store).defs_read().next().unwrap().0;
-    let p_cluster = far.schedule.get(producer).unwrap().cluster;
-    let t = far.schedule.get(store).unwrap().time;
-    far.schedule.place(store, t, ClusterId((p_cluster.0 + 3) % 6));
-    assert!(matches!(simulate(&far, &m, 8), Err(SimError::CommunicationConflict { .. })));
 }
