@@ -15,20 +15,6 @@ use dms_sched::strategy::SchedulerStrategy;
 use dms_telemetry::{SchedEvent, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// When to apply the single-use (copy-insertion) lifetime conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SingleUsePolicy {
-    /// Apply it only when the target machine has more than one cluster (the
-    /// paper's setting: the conversion exists because of the single-read
-    /// CQRFs, which a single-cluster machine does not have).
-    ClusteredOnly,
-    /// Always apply it, regardless of the machine.
-    Always,
-    /// Never apply it (useful for ablations; incorrect for real clustered
-    /// targets with more than two immediate uses of a value).
-    Never,
-}
-
 /// How DMS uses the incremental queue-register-pressure estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PressureMode {
@@ -70,15 +56,8 @@ pub enum PressureMode {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DmsConfig {
-    /// Scheduling budget per candidate II, as a multiple of the number of
-    /// operations.
-    pub budget_ratio: u32,
-    /// Upper limit of the II search (`None` derives a safe default).
-    pub max_ii: Option<u32>,
     /// How chains pick between the two ring directions.
     pub chain_policy: ChainPolicy,
-    /// When to apply the single-use conversion.
-    pub single_use: SingleUsePolicy,
     /// Whether scheduling is register-pressure-aware.
     pub pressure: PressureMode,
     /// An II a closely related configuration (e.g. the neighbouring cluster
@@ -100,10 +79,7 @@ pub struct DmsConfig {
 impl Default for DmsConfig {
     fn default() -> Self {
         DmsConfig {
-            budget_ratio: 32,
-            max_ii: None,
             chain_policy: ChainPolicy::MaxFreeSlots,
-            single_use: SingleUsePolicy::ClusteredOnly,
             pressure: PressureMode::Aware,
             ii_seed: None,
             strategy: SchedulerStrategy::Dms,
@@ -242,9 +218,15 @@ pub fn dms_schedule(
     Ok(outcome)
 }
 
-/// The strategy-independent preprocessing of a loop: single-use conversion,
-/// MII bounds and the per-II scheduling budget. Shared by every candidate of
-/// a portfolio so the (deterministic) transforms run once per loop.
+/// Scheduling budget per candidate II, as a multiple of the number of live
+/// operations.
+const BUDGET_RATIO: u64 = 32;
+
+/// The strategy-independent preprocessing of a loop: single-use conversion
+/// (on clustered machines only — it exists because of the single-read
+/// CQRFs), MII bounds and the per-II scheduling budget. Shared by every
+/// candidate of a portfolio so the (deterministic) transforms run once per
+/// loop.
 struct Prepared {
     ddg: Ddg,
     copies: u64,
@@ -260,23 +242,15 @@ fn prepare(
     config: &DmsConfig,
 ) -> Result<Prepared, ScheduleError> {
     let mut ddg = l.ddg.clone();
-    let apply_single_use = match config.single_use {
-        SingleUsePolicy::Always => true,
-        SingleUsePolicy::Never => false,
-        SingleUsePolicy::ClusteredOnly => machine.is_clustered(),
-    };
-    let copies = if apply_single_use {
+    let copies = if machine.is_clustered() {
         convert_to_single_use(&mut ddg, machine.latency()) as u64
     } else {
         0
     };
     let bounds = mii(&ddg, machine)?;
     let start_ii = bounds.mii();
-    let max_ii = config
-        .max_ii
-        .unwrap_or_else(|| default_max_ii(&ddg, machine, start_ii))
-        .max(config.ii_seed.unwrap_or(0));
-    let budget = config.budget_ratio as u64 * ddg.num_live_ops().max(1) as u64;
+    let max_ii = default_max_ii(&ddg, machine, start_ii).max(config.ii_seed.unwrap_or(0));
+    let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
     Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget })
 }
 
@@ -713,7 +687,7 @@ fn strategy3_cluster(st: &SchedulerState, op: OpId) -> ClusterId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dms_ir::{kernels, transform, LoopBuilder, Operand};
+    use dms_ir::{kernels, transform};
     use dms_sched::ims::{ims_schedule, ImsConfig};
     use dms_sched::validate::validate_schedule;
 
@@ -887,33 +861,15 @@ mod tests {
         let mut m = MachineConfig::paper_clustered(2);
         m.lrf_capacity = 0;
         m.cqrf_capacity = 0;
-        let cfg = DmsConfig { max_ii: Some(8), ..DmsConfig::default() };
+        let cfg = DmsConfig::default();
         match dms_schedule(&l, &m, &cfg) {
-            Err(ScheduleError::PressureLimitReached { limit: 8, retries }) => {
+            Err(ScheduleError::PressureLimitReached { retries, .. }) => {
                 assert!(retries >= 1, "at least one schedule must have been rejected")
             }
             other => panic!("expected PressureLimitReached, got {other:?}"),
         }
         let blind = DmsConfig { pressure: PressureMode::Ignore, ..cfg };
         assert!(dms_schedule(&l, &m, &blind).is_ok(), "Ignore mode never checks capacities");
-    }
-
-    #[test]
-    fn always_policy_inserts_copies_even_on_one_cluster() {
-        let mut b = LoopBuilder::new("fan");
-        let a = b.load(Operand::Induction);
-        let x = b.add(a.into(), Operand::Immediate(1));
-        let y = b.mul(a.into(), Operand::Invariant(0));
-        let z = b.sub(a.into(), Operand::Immediate(2));
-        b.store(x.into());
-        b.store(y.into());
-        b.store(z.into());
-        let l = b.finish(32);
-        let m = MachineConfig::paper_clustered(1);
-        let cfg = DmsConfig { single_use: SingleUsePolicy::Always, ..DmsConfig::default() };
-        let r = check(&l, &m, &cfg);
-        // `a` has three readers -> one copy keeps every fan-out at two.
-        assert!(r.stats.copies_inserted >= 1);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!    with backtracking, where eviction also covers communication conflicts
 //!    and evicting any part of a chain dismantles the whole chain.
 //!
-//! Before scheduling, multiple-use lifetimes are converted to single-use
-//! lifetimes with `copy` operations (a requirement of the single-read queue
-//! register files), which also limits every operation to at most two
-//! immediate flow successors.
+//! Before scheduling on a clustered machine, multiple-use lifetimes are
+//! converted to single-use lifetimes with `copy` operations (a requirement
+//! of the single-read queue register files), which also limits every
+//! operation to at most two immediate flow successors.
 //!
 //! # Example
 //!
@@ -48,6 +48,6 @@ pub mod dms;
 pub mod state;
 
 pub use chains::{ChainPlan, ChainPolicy};
-pub use dms::{dms_schedule, DmsConfig, PressureMode, ScheduleOutcome, SingleUsePolicy};
+pub use dms::{dms_schedule, DmsConfig, PressureMode, ScheduleOutcome};
 pub use dms_sched::SchedulerStrategy;
 pub use state::SchedulerState;

@@ -221,9 +221,9 @@ pub struct SweepStats {
     pub stores_verified: u64,
     /// DMS pressure-relaxation retries summed over every completed task.
     pub pressure_retries: u64,
-    /// Peak CQRF stream occupancy (`QueueFile` high-water mark) observed
-    /// across every executed schedule (0 unless the sweep ran in verify
-    /// mode).
+    /// Peak CQRF stream occupancy (the executor's queue high-water mark)
+    /// observed across every executed schedule (0 unless the sweep ran in
+    /// verify mode).
     pub peak_queue_depth: u64,
     /// Scheduler requests this sweep answered from the service's schedule
     /// cache (0 on a cold service; `2 * tasks` when re-running a sweep the
@@ -258,12 +258,8 @@ pub use dms_service::resolve_threads;
 
 /// The clustered machine of one sweep cell.
 fn clustered_machine(clusters: u32, config: &ExperimentConfig) -> MachineConfig {
-    let mut machine = if config.copy_units == 1 {
-        MachineConfig::paper_clustered(clusters)
-    } else {
-        MachineConfig::paper_clustered_with_copy_units(clusters, config.copy_units)
-    }
-    .with_topology(config.topology);
+    let mut machine = MachineConfig::paper_clustered_with_copy_units(clusters, config.copy_units)
+        .with_topology(config.topology);
     if let Some(capacity) = config.cqrf_capacity {
         machine = machine.with_cqrf_capacity(capacity);
     }

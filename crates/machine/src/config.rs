@@ -261,6 +261,12 @@ mod tests {
         let m = MachineConfig::paper_clustered_with_copy_units(6, 2);
         assert_eq!(m.total_fu(FuKind::Copy), 12);
         assert_eq!(m.total_useful_fus(), 18);
+        for c in 1..=10 {
+            assert_eq!(
+                MachineConfig::paper_clustered_with_copy_units(c, 1),
+                MachineConfig::paper_clustered(c)
+            );
+        }
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod topology;
 pub use config::{ClusterFus, MachineConfig};
 pub use fu::FuKind;
 pub use mrt::{Mrt, MrtError, Placement};
-pub use queues::{CqrfId, QueueFile};
+pub use queues::CqrfId;
 pub use topology::{ClusterId, TopoPath, Topology, TopologyKind, TransferModel};

@@ -17,32 +17,20 @@ use crate::priority::heights;
 use crate::schedule::{
     dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError, ScheduleResult,
 };
-use dms_ir::transform::convert_to_single_use;
 use dms_ir::{Ddg, Loop, OpId};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
 use dms_telemetry::{SchedEvent, Telemetry};
 
-/// Tuning parameters of the IMS search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImsConfig {
-    /// Scheduling budget per candidate II, expressed as a multiple of the
-    /// number of operations (Rau uses small single-digit ratios; 6–8 is a
-    /// common choice).
-    pub budget_ratio: u32,
-    /// Upper limit on the II search; `None` derives a safe limit from the
-    /// loop size and latencies.
-    pub max_ii: Option<u32>,
-    /// Whether to apply the single-use (copy-insertion) conversion before
-    /// scheduling. The unclustered baseline of the paper does *not* need it;
-    /// it exists here to quantify the cost of the conversion in isolation.
-    pub apply_single_use: bool,
-}
+/// Scheduling budget per candidate II, as a multiple of the number of live
+/// operations (Rau uses small single-digit ratios; 6–8 is a common choice).
+const BUDGET_RATIO: u64 = 8;
 
-impl Default for ImsConfig {
-    fn default() -> Self {
-        ImsConfig { budget_ratio: 8, max_ii: None, apply_single_use: false }
-    }
-}
+/// Parameters of the IMS search. It has none: the budget is 8 placement
+/// attempts per live operation at each candidate II, the II ceiling is
+/// [`default_max_ii`], and the unclustered baseline never applies the
+/// single-use conversion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ImsConfig {}
 
 /// Schedules a loop with IMS on the given machine.
 ///
@@ -55,21 +43,15 @@ impl Default for ImsConfig {
 pub fn ims_schedule(
     l: &Loop,
     machine: &MachineConfig,
-    config: &ImsConfig,
+    _config: &ImsConfig,
 ) -> Result<ScheduleResult, ScheduleError> {
-    let mut ddg = l.ddg.clone();
-    let mut copies = 0u64;
-    if config.apply_single_use {
-        copies = convert_to_single_use(&mut ddg, machine.latency()) as u64;
-    }
-
+    let ddg = l.ddg.clone();
     let bounds = mii(&ddg, machine)?;
     let start_ii = bounds.mii();
-    let max_ii = config.max_ii.unwrap_or_else(|| default_max_ii(&ddg, machine, start_ii));
-    let budget = config.budget_ratio as u64 * ddg.num_live_ops().max(1) as u64;
+    let max_ii = default_max_ii(&ddg, machine, start_ii);
+    let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
 
-    let mut stats =
-        SchedStats { mii: Some(bounds), copies_inserted: copies, ..SchedStats::default() };
+    let mut stats = SchedStats { mii: Some(bounds), ..SchedStats::default() };
 
     let telemetry = Telemetry::current();
     for ii in start_ii..=max_ii {
@@ -247,20 +229,6 @@ mod tests {
         let wide = check(&l, &MachineConfig::unclustered(8)).ii();
         assert!(wide <= narrow);
         assert!(wide < narrow, "an 8x wider machine must help an 8-tap FIR");
-    }
-
-    #[test]
-    fn single_use_conversion_adds_copies() {
-        // horner's `x` is read once per polynomial term, so the conversion
-        // must insert copies for the reads beyond the second.
-        let l = kernels::horner(4, 64);
-        let m = MachineConfig::unclustered(2);
-        let cfg = ImsConfig { apply_single_use: true, ..ImsConfig::default() };
-        let r = ims_schedule(&l, &m, &cfg).unwrap();
-        assert!(r.stats.copies_inserted > 0);
-        assert!(validate_schedule(&r.ddg, &m, &r.schedule).is_empty());
-        // useful op count unchanged by the conversion
-        assert_eq!(r.useful_ops(), l.useful_ops());
     }
 
     #[test]

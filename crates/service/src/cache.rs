@@ -1,15 +1,11 @@
 //! The sharded, content-addressed schedule cache.
 //!
-//! A fixed number of `Mutex`-guarded shards, picked by hashing the
-//! [`CacheKey`]; concurrent sweep workers only contend when they touch the
-//! same shard. A key maps to one value. The key digests the exact body and
-//! the exact context (see [`crate::hash`]), so a cached value is always
-//! *the* value the cold path would have produced for that precise request,
-//! bit for bit.
-//!
-//! The shard count is a pure performance knob: results never depend on it
-//! (a regression test in the workspace pins 1-shard vs 8-shard sweeps to
-//! byte-identical CSV).
+//! Sixteen `Mutex`-guarded shards, picked by hashing the [`CacheKey`];
+//! concurrent sweep workers only contend when they touch the same shard.
+//! A key maps to one value. The key digests the exact body and the exact
+//! context (see [`crate::hash`]), so a cached value is always *the* value
+//! the cold path would have produced for that precise request, bit for
+//! bit.
 //!
 //! **Poisoned shards are recovered, not propagated.** A panicking scheduler
 //! thread poisons whatever shard mutex it held; unwrapping the poison would
@@ -36,16 +32,18 @@ pub struct CacheCounters {
     pub inserts: u64,
 }
 
+/// Shard count: comfortably above the worker counts the sweep engine runs
+/// with, so shard contention stays negligible.
+const SHARDS: usize = 16;
+
 /// One shard: a key mapped to its value.
 type Shard<V> = Mutex<HashMap<CacheKey, V>>;
 
 /// A sharded map from a key to a cloneable value.
 ///
 /// The hit/miss/insert counters are `dms-telemetry` [`Counter`] handles,
-/// so a cache built with [`ShardedCache::with_counters`] publishes its
-/// activity straight into a metrics registry; [`ShardedCache::new`] wires
-/// standalone (unregistered) counters for callers that only ever read
-/// [`ShardedCache::stats`].
+/// so the cache publishes its activity straight into the metrics registry
+/// that registered them.
 #[derive(Debug)]
 pub struct ShardedCache<V> {
     shards: Vec<Shard<V>>,
@@ -55,36 +53,19 @@ pub struct ShardedCache<V> {
 }
 
 impl<V: Clone> ShardedCache<V> {
-    /// Creates a cache with `shards` shards (clamped to at least 1) and
-    /// standalone counters.
-    pub fn new(shards: usize) -> Self {
-        Self::with_counters(
-            shards,
-            Counter::standalone(),
-            Counter::standalone(),
-            Counter::standalone(),
-        )
-    }
-
-    /// Creates a cache whose hit/miss/insert counts feed the given
+    /// Creates an empty cache whose hit/miss/insert counts feed the given
     /// counters (typically registered in the owning service's registry).
-    pub fn with_counters(shards: usize, hits: Counter, misses: Counter, inserts: Counter) -> Self {
-        let shards = shards.max(1);
+    pub fn with_counters(hits: Counter, misses: Counter, inserts: Counter) -> Self {
         ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits,
             misses,
             inserts,
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard(&self, key: &CacheKey) -> &Shard<V> {
-        &self.shards[(key.mixed() % self.shards.len() as u64) as usize]
+        &self.shards[(key.mixed() % SHARDS as u64) as usize]
     }
 
     /// Looks up the entry for `key`, counting a hit or a miss.
@@ -140,9 +121,13 @@ mod tests {
         CacheKey { body, context }
     }
 
+    fn cache<V: Clone>() -> ShardedCache<V> {
+        ShardedCache::with_counters(Counter::default(), Counter::default(), Counter::default())
+    }
+
     #[test]
     fn lookup_miss_insert_hit() {
-        let cache: ShardedCache<String> = ShardedCache::new(4);
+        let cache: ShardedCache<String> = cache();
         let k = key(1, 2);
         assert_eq!(cache.lookup(&k), None);
         cache.insert(k, "v".to_string());
@@ -154,7 +139,7 @@ mod tests {
 
     #[test]
     fn reinsert_keeps_the_first_value_and_does_not_count() {
-        let cache: ShardedCache<u32> = ShardedCache::new(1);
+        let cache: ShardedCache<u32> = cache();
         let k = key(5, 5);
         cache.insert(k, 1);
         cache.insert(k, 2);
@@ -163,27 +148,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_clamped() {
-        let cache: ShardedCache<u32> = ShardedCache::new(0);
-        assert_eq!(cache.num_shards(), 1);
-    }
-
-    #[test]
     fn a_poisoned_shard_keeps_serving_lookups_inserts_and_len() {
-        let cache: ShardedCache<u32> = ShardedCache::new(1);
+        let cache: ShardedCache<u32> = cache();
         let k = key(3, 4);
         cache.insert(k, 11);
 
-        // Poison the single shard: a thread panics while holding its lock
+        // Poison every shard: a thread panics while holding each lock
         // (exactly what a panicking scheduler worker would do mid-insert).
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let _guard = cache.shards[0].lock().unwrap();
-                panic!("poison the shard");
+        for shard in &cache.shards {
+            std::thread::scope(|s| {
+                let handle = s.spawn(|| {
+                    let _guard = shard.lock().unwrap();
+                    panic!("poison the shard");
+                });
+                assert!(handle.join().is_err(), "the poisoning thread must have panicked");
             });
-            assert!(handle.join().is_err(), "the poisoning thread must have panicked");
-        });
-        assert!(cache.shards[0].is_poisoned());
+        }
+        assert!(cache.shards.iter().all(|shard| shard.is_poisoned()));
 
         // Every accessor recovers the guard instead of propagating the
         // panic: the pre-poison entry survives and new inserts land.

@@ -19,7 +19,7 @@
 //!   verified-stores digest, and the key digests the exact body, so
 //!   isomorphic-but-distinct loops (whose schedules can differ in
 //!   name-seeded tie-breaks) never share an entry.
-//! * [`cache`] — N `Mutex`-guarded shards mapping a [`CacheKey`] to one
+//! * [`cache`] — 16 `Mutex`-guarded shards mapping a [`CacheKey`] to one
 //!   value, with hit/miss/insert counters published as `dms-telemetry`
 //!   handles into the owning service's metrics registry. The key
 //!   ([`hash`]) is two FNV-1a digests of derived `Hash` impls: the exact

@@ -56,7 +56,7 @@ pub fn serve(addr: impl ToSocketAddrs, service: Arc<ScheduleService>) -> std::io
 /// Returns the error if the listener's local address cannot be read.
 pub fn serve_on(listener: TcpListener, service: Arc<ScheduleService>) -> std::io::Result<()> {
     let local = listener.local_addr()?;
-    println!("dms-service listening on {local} ({} cache shards)", service.num_shards());
+    println!("dms-service listening on {local}");
     let shutdown = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {

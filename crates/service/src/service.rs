@@ -153,10 +153,6 @@ struct CachedSchedule {
     verify: Option<VerifyDigest>,
 }
 
-/// Default shard count: comfortably above the worker counts the sweep
-/// engine runs with, so shard contention stays negligible.
-pub const DEFAULT_SHARDS: usize = 16;
-
 /// The resident scheduling service: a sharded content-addressed schedule
 /// cache in front of the deterministic scheduling (+ verification)
 /// pipeline.
@@ -165,7 +161,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// live in it (as `dms_cache_hits_total` / `dms_cache_misses_total` /
 /// `dms_cache_inserts_total`), every [`ScheduleService::schedule`] call
 /// lands in the `dms_request_latency_micros` histogram, and
-/// `dms_requests_inflight` tracks concurrent requests. [`ScheduleService::new`]
+/// `dms_requests_inflight` tracks concurrent requests. [`ScheduleService::default`]
 /// builds a private registry (unit tests stay isolated from each other);
 /// [`ScheduleService::with_registry`] shares a caller-owned one so a driver
 /// can merge service metrics with its own timers and the scheduler-core
@@ -179,24 +175,17 @@ pub struct ScheduleService {
 }
 
 impl Default for ScheduleService {
+    /// A service with an empty cache and a private metrics registry.
     fn default() -> Self {
-        Self::new(DEFAULT_SHARDS)
+        Self::with_registry(Arc::new(Registry::new()))
     }
 }
 
 impl ScheduleService {
-    /// Creates a service whose cache has `shards` shards (clamped to at
-    /// least 1) and a private metrics registry. The shard count is a
-    /// performance knob only: responses never depend on it.
-    pub fn new(shards: usize) -> Self {
-        Self::with_registry(shards, Arc::new(Registry::new()))
-    }
-
     /// Creates a service that publishes its metrics into the given
     /// registry instead of a private one.
-    pub fn with_registry(shards: usize, registry: Arc<Registry>) -> Self {
+    pub fn with_registry(registry: Arc<Registry>) -> Self {
         let cache = ShardedCache::with_counters(
-            shards,
             registry.counter("dms_cache_hits_total"),
             registry.counter("dms_cache_misses_total"),
             registry.counter("dms_cache_inserts_total"),
@@ -215,11 +204,6 @@ impl ScheduleService {
     /// payload of the wire `{"op":"metrics"}` response.
     pub fn metrics_text(&self) -> String {
         self.registry.render_prometheus()
-    }
-
-    /// Number of cache shards.
-    pub fn num_shards(&self) -> usize {
-        self.cache.num_shards()
     }
 
     /// Snapshot of the cache hit/miss/insert counters.
@@ -318,7 +302,7 @@ fn cache_key(req: &ScheduleRequest<'_>) -> CacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dms_core::{ChainPolicy, PressureMode, SchedulerStrategy, SingleUsePolicy};
+    use dms_core::{ChainPolicy, PressureMode, SchedulerStrategy};
     use dms_ir::kernels;
     use dms_machine::TopologyKind;
 
@@ -356,7 +340,7 @@ mod tests {
 
     #[test]
     fn warm_response_is_identical_to_cold_and_flagged_as_hit() {
-        let service = ScheduleService::new(4);
+        let service = ScheduleService::default();
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
         let req = dms_request(&fir, &machine);
@@ -453,20 +437,9 @@ mod tests {
         // Destructured so that a new `DmsConfig` field fails to compile
         // here until it is added to the list below.
         let d = DmsConfig::default();
-        let DmsConfig {
-            budget_ratio,
-            max_ii: _,
-            chain_policy: _,
-            single_use: _,
-            pressure: _,
-            ii_seed: _,
-            strategy: _,
-        } = d;
+        let DmsConfig { chain_policy: _, pressure: _, ii_seed: _, strategy: _ } = d;
         let configs = [
-            ("budget_ratio", DmsConfig { budget_ratio: budget_ratio + 1, ..d }),
-            ("max_ii", DmsConfig { max_ii: Some(9), ..d }),
             ("chain_policy", DmsConfig { chain_policy: ChainPolicy::ShortestPath, ..d }),
-            ("single_use", DmsConfig { single_use: SingleUsePolicy::Always, ..d }),
             ("pressure", DmsConfig { pressure: PressureMode::Ignore, ..d }),
             ("ii_seed", DmsConfig { ii_seed: Some(3), ..d }),
             ("strategy", DmsConfig { strategy: SchedulerStrategy::Beam { width: 2 }, ..d }),
@@ -509,7 +482,7 @@ mod tests {
 
     #[test]
     fn the_registry_mirrors_cache_stats_and_counts_request_latencies() {
-        let service = ScheduleService::new(4);
+        let service = ScheduleService::default();
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
         let req = dms_request(&fir, &machine);
@@ -536,7 +509,7 @@ mod tests {
     fn a_shared_registry_merges_metrics_from_the_owning_driver() {
         let registry = Arc::new(Registry::new());
         registry.counter("driver_sweeps_total").inc();
-        let service = ScheduleService::with_registry(2, Arc::clone(&registry));
+        let service = ScheduleService::with_registry(Arc::clone(&registry));
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
         service.schedule(&dms_request(&fir, &machine)).unwrap();
@@ -549,13 +522,14 @@ mod tests {
     fn scheduler_failures_are_reported_and_not_cached() {
         let service = ScheduleService::default();
         let fir = kernels::fir(8, 64);
-        let machine = MachineConfig::paper_clustered(4);
-        let req = ScheduleRequest {
-            dms: DmsConfig { max_ii: Some(1), budget_ratio: 1, ..DmsConfig::default() },
-            ..dms_request(&fir, &machine)
-        };
-        let err = service.schedule(&req).unwrap_err();
-        assert!(matches!(err, ServiceError::Schedule(_)));
+        // No load/store unit: the loop cannot execute on this machine.
+        let machine = MachineConfig::homogeneous(
+            4,
+            dms_machine::ClusterFus { load_store: 0, ..dms_machine::ClusterFus::PAPER },
+            dms_ir::LatencySpec::default(),
+        );
+        let err = service.schedule(&dms_request(&fir, &machine)).unwrap_err();
+        assert!(matches!(err, ServiceError::Schedule(ScheduleError::UnexecutableLoop { .. })));
         assert_eq!(service.cache_len(), 0, "failures are never cached");
     }
 }

@@ -413,12 +413,9 @@ impl WireMachine {
         if self.unclustered {
             return MachineConfig::unclustered(self.clusters);
         }
-        let mut machine = if self.copy_units == 1 {
-            MachineConfig::paper_clustered(self.clusters)
-        } else {
+        let mut machine =
             MachineConfig::paper_clustered_with_copy_units(self.clusters, self.copy_units)
-        }
-        .with_topology(self.topology);
+                .with_topology(self.topology);
         if let Some(capacity) = self.cqrf_capacity {
             machine = machine.with_cqrf_capacity(capacity);
         }

@@ -19,13 +19,6 @@ use std::time::{Duration, Instant};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A standalone counter not attached to any registry (useful for
-    /// components that count unconditionally and are only *sometimes*
-    /// wired into a registry, like the cache of a default-built service).
-    pub fn standalone() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -214,8 +207,8 @@ impl Metric {
     }
 }
 
-/// The registry: a name-keyed set of metrics plus the scheduler event
-/// trace. See the crate docs for the determinism rules it upholds.
+/// The registry: a name-keyed set of metrics plus the per-kind scheduler
+/// event counts. See the crate docs for the determinism rules it upholds.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -272,8 +265,7 @@ impl Registry {
         ScopedTimer::new(self.counter(name))
     }
 
-    /// Records a structured scheduler event into the bounded trace and its
-    /// per-kind count.
+    /// Counts a structured scheduler event under its kind.
     pub fn record_event(&self, ev: SchedEvent) {
         self.trace.record(ev);
     }
@@ -281,16 +273,6 @@ impl Registry {
     /// The count of trace events of `kind` recorded so far.
     pub fn event_count(&self, kind: crate::trace::EventKind) -> u64 {
         self.trace.count(kind)
-    }
-
-    /// Events dropped because the trace ring was full (oldest-first).
-    pub fn events_dropped(&self) -> u64 {
-        self.trace.dropped()
-    }
-
-    /// A copy of the retained trace events, oldest first.
-    pub fn trace_snapshot(&self) -> Vec<SchedEvent> {
-        self.trace.snapshot()
     }
 
     fn register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
@@ -343,15 +325,13 @@ impl Registry {
                 self.trace.count(kind)
             );
         }
-        out.push_str("# TYPE dms_trace_events_dropped_total counter\n");
-        let _ = writeln!(out, "dms_trace_events_dropped_total {}", self.trace.dropped());
         out
     }
 
     /// Renders the registry as one JSON document (hand-rolled — the
     /// build has no serialization crate): counters, gauges, histograms
-    /// (with the fixed bucket bounds), per-kind event counts and the drop
-    /// count. Names sorted; layout deterministic.
+    /// (with the fixed bucket bounds) and per-kind event counts. Names
+    /// sorted; layout deterministic.
     pub fn render_json(&self) -> String {
         let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
         let mut counters = String::new();
@@ -386,9 +366,7 @@ impl Registry {
         }
         format!(
             "{{\n  \"counters\": {{{counters}}},\n  \"gauges\": {{{gauges}}},\n  \
-             \"histograms\": {{{histograms}}},\n  \"events\": {{{events}}},\n  \
-             \"events_dropped\": {}\n}}\n",
-            self.trace.dropped()
+             \"histograms\": {{{histograms}}},\n  \"events\": {{{events}}}\n}}\n"
         )
     }
 }
@@ -523,7 +501,7 @@ mod tests {
         assert!(json.contains("\"dms_g\": 7"));
         assert!(json.contains("\"sum\": 2"));
         assert!(json.contains("\"pressure_retry\": 1"));
-        assert!(json.contains("\"events_dropped\": 0"));
+        assert!(json.ends_with("\"link_stall\": 0}\n}\n"), "events close the document");
         assert_eq!(r.event_count(EventKind::PressureRetry), 1);
     }
 }

@@ -1,21 +1,13 @@
-//! The structured scheduler event trace: a bounded buffer of
-//! [`SchedEvent`]s plus always-on per-kind counts.
+//! The structured scheduler event taxonomy ([`SchedEvent`]) and the
+//! always-on per-kind counts a registry keeps of it.
 //!
-//! The buffer keeps the **first** [`TRACE_CAPACITY`] events; later events
-//! are dropped and counted, never silently lost. Keep-first (rather than a
-//! keep-last ring) is a deliberate hot-path trade: once the buffer
-//! saturates, recording degenerates to two relaxed atomic increments with
-//! no lock at all, which is what lets chain-dismantle-heavy sweeps run
-//! with telemetry on at no measurable cost. The per-kind counts are
-//! unbounded atomics, so aggregate assertions ("how many pressure retries
-//! did this sweep take?") stay exact even after the buffer fills.
+//! Recording an event is one relaxed atomic increment of its kind's count,
+//! with no lock. The counts are unbounded, so aggregate assertions ("how
+//! many pressure retries did this sweep take?") stay exact however many
+//! events a sweep emits. Event payloads are not retained.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Maximum events retained by the trace buffer.
-pub const TRACE_CAPACITY: usize = 1024;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One structured scheduler event. The taxonomy covers every decision
 /// point the DMS stack exposes: the II search, the pressure-relaxation
@@ -136,47 +128,20 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// The bounded keep-first buffer plus per-kind counts. Owned by a
-/// [`crate::Registry`]; not public API outside the crate.
+/// The per-kind event counts. Owned by a [`crate::Registry`]; not public
+/// API outside the crate.
 #[derive(Debug, Default)]
 pub(crate) struct Trace {
-    buffer: Mutex<Vec<SchedEvent>>,
-    /// Lock-free mirror of "the buffer is full": the hot path reads this
-    /// and skips the mutex entirely once the trace has saturated.
-    full: AtomicBool,
     counts: [AtomicU64; EventKind::ALL.len()],
-    dropped: AtomicU64,
 }
 
 impl Trace {
     pub(crate) fn record(&self, ev: SchedEvent) {
         self.counts[ev.kind().index()].fetch_add(1, Ordering::Relaxed);
-        if self.full.load(Ordering::Relaxed) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut buffer = self.buffer.lock().unwrap_or_else(PoisonError::into_inner);
-        if buffer.len() < TRACE_CAPACITY {
-            buffer.push(ev);
-            if buffer.len() == TRACE_CAPACITY {
-                self.full.store(true, Ordering::Relaxed);
-            }
-        } else {
-            // A racer filled the buffer between our flag read and the lock.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     pub(crate) fn count(&self, kind: EventKind) -> u64 {
         self.counts[kind.index()].load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<SchedEvent> {
-        self.buffer.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
@@ -194,29 +159,6 @@ mod tests {
         assert_eq!(t.count(EventKind::IiAttemptStarted), 10);
         assert_eq!(t.count(EventKind::CacheHit), 1);
         assert_eq!(t.count(EventKind::LinkStall), 0);
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 11);
-        assert_eq!(snap[0], SchedEvent::IiAttemptStarted { ii: 0 });
-        assert_eq!(*snap.last().unwrap(), SchedEvent::CacheHit);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn the_buffer_keeps_the_first_events_and_counts_later_drops() {
-        let t = Trace::default();
-        for i in 0..(TRACE_CAPACITY as u32 + 5) {
-            t.record(SchedEvent::ChainDismantled { moves: i });
-        }
-        assert_eq!(t.count(EventKind::ChainDismantled), TRACE_CAPACITY as u64 + 5);
-        assert_eq!(t.dropped(), 5, "the five post-saturation events are counted as dropped");
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), TRACE_CAPACITY);
-        assert_eq!(snap[0], SchedEvent::ChainDismantled { moves: 0 }, "the first event stays");
-        assert_eq!(
-            *snap.last().unwrap(),
-            SchedEvent::ChainDismantled { moves: TRACE_CAPACITY as u32 - 1 },
-            "the buffer holds exactly the first TRACE_CAPACITY events"
-        );
     }
 
     #[test]
